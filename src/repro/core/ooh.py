@@ -53,6 +53,7 @@ from repro.guest.process import Process
 from repro.hw import vmcs as vmcsf
 from repro.hw.interrupts import VECTOR_OOH_PML_FULL
 from repro.hw.pagetable import PTE_DIRTY
+from repro.hw.pageset import unique_pages
 from repro.hypervisor import hypercalls as hc
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
@@ -302,7 +303,7 @@ class OohModule:
             EV_RB_COPY,
             int(gpas.size),
         )
-        gpas = np.unique(gpas).astype(np.int64)
+        gpas = unique_pages(gpas, self.kernel.vm.mem_pages)
         # Reverse mapping parses /proc/PID/pagemap: one userspace page-
         # table walk (M16, Fig. 3's "PT walk" slice) whenever addresses
         # must actually be resolved (cache hits skip the parse) ...
@@ -471,7 +472,7 @@ class OohModule:
             EV_RB_COPY,
             int(gvas.size),
         )
-        vpns = np.unique(gvas).astype(np.int64)
+        vpns = unique_pages(gvas, att.process.space.n_pages)
         # Re-arm: the module owns guest PTE dirty bits — no hypervisor.
         # Invalidate alongside (invlpg semantics): a TLB-cached dirty
         # translation would let the next write dodge the re-armed log.
@@ -516,6 +517,10 @@ class OohModule:
 
     def _detach(self, att: OohAttachment) -> None:
         self.kernel.scheduler.remove_hooks(*att._hooks)  # type: ignore[attr-defined]
+        # The hook closures reference the attachment: dropping them breaks
+        # that cycle, so the ring (megabytes) is freed with the last
+        # reference to the attachment, not when the cyclic collector runs.
+        att._hooks = None  # type: ignore[attr-defined]
         if att.kind is OohKind.SPML:
             self.clock.charge(
                 self.costs.params.hc_deact_pml_us, World.TRACKER, EV_HC_DEACT_PML
@@ -600,6 +605,7 @@ class OohModule:
         hooks = getattr(att, "_hooks", None)
         if hooks is not None:
             self.kernel.scheduler.remove_hooks(*hooks)
+            att._hooks = None  # type: ignore[attr-defined]
         self._pending_guest_entries.clear()
         vm = self.kernel.vm
         if att.kind is OohKind.SPML:

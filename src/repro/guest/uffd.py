@@ -36,6 +36,7 @@ from repro.core.costs import (
 from repro.errors import TrackingError
 from repro.guest.process import Process, Vma
 from repro.hw.pagetable import PTE_UFD_WP, PTE_WRITABLE, PTE_ZERO
+from repro.hw.pageset import unique_pages
 
 __all__ = ["UfdMode", "UserFaultFd"]
 
@@ -117,7 +118,9 @@ class UserFaultFd:
         """Drain VPNs whose write faults the tracker has resolved."""
         if not self._dirty:
             return np.empty(0, dtype=np.int64)
-        out = np.unique(np.concatenate(self._dirty))
+        out = unique_pages(
+            np.concatenate(self._dirty), self.process.space.n_pages
+        )
         self._dirty.clear()
         return out
 

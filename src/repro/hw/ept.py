@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, InvalidAddressError
+from repro.hw.pageset import unique_pages
 
 __all__ = ["EPT_PRESENT", "EPT_WRITABLE", "EPT_ACCESSED", "EPT_DIRTY", "Ept"]
 
@@ -86,11 +87,10 @@ class Ept:
         if written.size == 0:
             return np.empty(0, dtype=np.int64)
         was_clean = (self.flags[written] & EPT_DIRTY) == 0
-        newly_dirty = written[was_clean]
-        # A page may appear several times in one batch; keep first instance.
-        newly_dirty = np.unique(newly_dirty)
+        # A page may appear several times in one batch; log it once.
+        newly_dirty = unique_pages(written[was_clean], self.n_guest_frames)
         self.flags[written] |= EPT_DIRTY
-        return newly_dirty.astype(np.int64)
+        return newly_dirty
 
     def unmap(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         """Remove GPA->HPA mappings (balloon inflate); returns the HPFNs

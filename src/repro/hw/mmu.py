@@ -60,6 +60,7 @@ import numpy as np
 from repro.errors import InvalidAddressError, ProtectionFault
 from repro.hw.ept import EPT_ACCESSED, EPT_DIRTY, Ept
 from repro.hw.memory import PhysicalMemory
+from repro.hw.pageset import pages_in, unique_pages
 from repro.hw.pagetable import (
     PTE_ACCESSED,
     PTE_DIRTY,
@@ -367,16 +368,17 @@ class Mmu:
         res: MmuResult,
         pml: PmlCircuit,
     ) -> MmuResult:
-        if int(v.min()) < 0 or int(v.max()) >= pt.n_pages:
+        n = pt.n_pages
+        if int(v.min()) < 0 or int(v.max()) >= n:
             raise InvalidAddressError("VPN out of address space")
         flags = pt.flags[v]
 
         # -- 1. missing pages -------------------------------------------
         present = (flags & PTE_PRESENT) != 0
         if not present.all():
-            missing, inv_m = np.unique(v[~present], return_inverse=True)
-            missing_w = np.zeros(missing.shape, dtype=bool)
-            missing_w[inv_m[w[~present]]] = True
+            absent = ~present
+            missing = unique_pages(v[absent], n)
+            missing_w = pages_in(missing, v[absent & w], n)
             handled_by_ufd = handlers.handle_ufd_miss_fault(missing, missing_w)
             res.n_ufd_faults += int(len(handled_by_ufd))
             still = ~np.isin(missing, handled_by_ufd)
@@ -392,7 +394,7 @@ class Mmu:
         if any_w:
             writable = (flags[w] & PTE_WRITABLE) != 0
             if not writable.all():
-                faulting = np.unique(v[w][~writable])
+                faulting = unique_pages(v[w][~writable], n)
                 ufd_mask = (pt.flags[faulting] & PTE_UFD_WP) != 0
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
@@ -402,12 +404,11 @@ class Mmu:
                     raise ProtectionFault("WP fault handler left pages read-only")
 
         # -- 3+4. one dedup pass feeds PTE bits, EPT bits, content writes
-        uniq_v, first_idx, inv = np.unique(
-            v, return_index=True, return_inverse=True
-        )
-        uniq_w = np.zeros(uniq_v.shape, dtype=bool)
-        uniq_w[inv[w]] = True
-        fu = flags[first_idx]
+        # No handler runs past this point, so the flags re-read at the
+        # deduped pages equal the batch gather at each page's first access.
+        uniq_v = unique_pages(v, n)
+        uniq_w = pages_in(uniq_v, v[w], n)
+        fu = pt.flags[uniq_v]
         newf = fu | PTE_ACCESSED
         if any_w:
             was_clean = uniq_w & ((fu & PTE_DIRTY) == 0)

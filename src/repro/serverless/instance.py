@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.guest.kernel import GuestKernel
 from repro.guest.plan import AccessPlan, PlanSegment
+from repro.hw.pageset import unique_pages
 from repro.serverless.snapshot import Snapshot, SnapshotDiff, output_tokens
 from repro.serverless.tracker import UnifiedDirtyTracker
 
@@ -50,7 +51,9 @@ def plan_write_vpns(plan: AccessPlan) -> np.ndarray:
                 written.append(vpns[write])
     if not written:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(written)).astype(np.int64)
+    written_vpns = np.concatenate(written)
+    # VPNs are non-negative, so the largest one bounds the domain.
+    return unique_pages(written_vpns, int(written_vpns.max()) + 1)
 
 
 class FunctionInstance:

@@ -22,6 +22,7 @@ from repro.core.clock import World
 from repro.core.tracking import DirtyPageTracker, Technique, make_tracker
 from repro.errors import GcError
 from repro.guest.kernel import GuestKernel
+from repro.hw.pageset import unique_pages
 from repro.trackers.boehm.heap import GEN_OLD, GEN_YOUNG, GcHeap
 from repro.trackers.boehm.incremental import full_mark, minor_mark
 
@@ -184,9 +185,10 @@ class BoehmGc:
             (dirty >= heap.vma.start_vpn) & (dirty < heap.vma.end_vpn)
         ]
         result = minor_mark(heap, dirty)
-        scan_pages = np.unique(
-            np.concatenate([result.scanned_pages, dirty])
-        ) if dirty.size or result.scanned_pages.size else result.scanned_pages
+        scan_pages = unique_pages(
+            np.concatenate([result.scanned_pages, dirty]),
+            heap.process.space.n_pages,
+        )
         present = heap.process.space.pt.present_mask(scan_pages)
         scan_present = scan_pages[present]
         if scan_present.size:

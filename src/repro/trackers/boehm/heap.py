@@ -20,6 +20,7 @@ from repro.core.calibration import PAGE_SIZE
 from repro.errors import GcError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process, Vma
+from repro.hw.pageset import count_pages, page_bitmap, unique_pages
 
 __all__ = ["GcHeap"]
 
@@ -65,14 +66,13 @@ class GcHeap:
         self._bump: dict[int, tuple[int, int]] = {}
         self._next_heap_vpn = self.vma.start_vpn
         self._free_pages: list[int] = []
-        self.page_live = np.zeros(process.space.n_pages, dtype=np.int32)
+        #: VPN domain of every page-set operation (the process space).
+        self._space_pages = process.space.n_pages
+        self.page_live = np.zeros(self._space_pages, dtype=np.int32)
 
         self.roots: set[int] = set()
         self.allocated_bytes_since_gc = 0
         self.total_allocated_objects = 0
-
-        # Page -> objects index, rebuilt lazily.
-        self._page_index: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # id management
@@ -131,6 +131,13 @@ class GcHeap:
             self._next_heap_vpn += fresh
         return pages
 
+    def _add_live(self, pages: np.ndarray, delta: int) -> np.ndarray:
+        """``page_live[p] += delta`` once per occurrence of ``p`` in
+        ``pages``; returns the distinct pages, ascending."""
+        touched, counts = count_pages(pages, self._space_pages)
+        self.page_live[touched] += delta * counts
+        return touched
+
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
@@ -154,7 +161,7 @@ class GcHeap:
             first = pages[::span] if span > 1 else pages
             self.obj_page[ids] = first
             touched = pages
-            np.add.at(self.page_live, pages, 1)
+            self._add_live(pages, 1)
         else:
             # Small objects: bump-pack into per-class pages.
             vpn, used = self._bump.get(size_bytes, (-1, per_page))
@@ -171,14 +178,13 @@ class GcHeap:
                     np.arange(n_rest) // per_page
                 ]
             self.obj_page[ids] = pages_assign
-            np.add.at(self.page_live, pages_assign, 1)
+            touched = self._add_live(pages_assign, 1)
             # Update bump state.
             if n_rest:
                 used_last = n_rest - (len(fresh_pages) - 1) * per_page
                 self._bump[size_bytes] = (int(fresh_pages[-1]), used_last)
             else:
                 self._bump[size_bytes] = (vpn, used + take_cur)
-            touched = np.unique(pages_assign)
 
         self.obj_size[ids] = size_bytes
         self.obj_span[ids] = span
@@ -186,7 +192,6 @@ class GcHeap:
         self.gen[ids] = GEN_YOUNG
         self.allocated_bytes_since_gc += n * size_bytes
         self.total_allocated_objects += n
-        self._page_index = None
 
         # The allocator writes headers/contents: dirty pages.
         self.kernel.access(self.process, touched, True)
@@ -210,7 +215,7 @@ class GcHeap:
         self._edge_dst.append(d.copy())
         self.n_edges += int(s.size)
         self._csr = None if self._csr_edges != self.n_edges else self._csr
-        self.kernel.access(self.process, np.unique(self.obj_page[s]), True)
+        self.kernel.access(self.process, self.pages_of(s), True)
 
     def replace_ref(self, src: int, old_dst: int, new_dst: int | None) -> None:
         """Overwrite a pointer cell: drop src -> old_dst, optionally add
@@ -246,13 +251,15 @@ class GcHeap:
             return
         if not self.alive[i].all():
             raise GcError("write to a dead object")
-        self.kernel.access(self.process, np.unique(self.obj_page[i]), True)
+        self.kernel.access(self.process, self.pages_of(i), True)
 
     def read_objs(self, ids: np.ndarray | list[int]) -> None:
         i = np.asarray(ids, dtype=np.int64).ravel()
         if i.size == 0:
             return
-        self.kernel.access(self.process, np.unique(self.obj_page[i]), False)
+        if not self.alive[i].all():
+            raise GcError("read of a dead object")
+        self.kernel.access(self.process, self.pages_of(i), False)
 
     # ------------------------------------------------------------------
     # roots
@@ -310,23 +317,17 @@ class GcHeap:
         offsets = np.repeat(starts + lens - lens.cumsum(), lens) + np.arange(total)
         return dst[offsets]
 
+    def pages_of(self, ids: np.ndarray) -> np.ndarray:
+        """Distinct first pages of objects ``ids``, ascending."""
+        return unique_pages(self.obj_page[ids], self._space_pages)
+
     def objects_on_pages(self, vpns: np.ndarray) -> np.ndarray:
-        """Live object ids residing on the given pages."""
+        """Live object ids residing on the given pages, by page, then id."""
         if vpns.size == 0:
             return np.empty(0, dtype=np.int64)
-        if self._page_index is None:
-            live = np.nonzero(self.alive[: self._n_ids])[0]
-            order = np.argsort(self.obj_page[live], kind="stable")
-            self._page_index = (self.obj_page[live][order], live[order])
-        sorted_pages, sorted_ids = self._page_index
-        lo = np.searchsorted(sorted_pages, vpns, "left")
-        hi = np.searchsorted(sorted_pages, vpns, "right")
-        lens = hi - lo
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.repeat(lo + lens - lens.cumsum(), lens) + np.arange(total)
-        return sorted_ids[offsets]
+        live = self.live_ids()
+        hit = live[page_bitmap(vpns, self._space_pages)[self.obj_page[live]]]
+        return hit[np.argsort(self.obj_page[hit], kind="stable")]
 
     def live_ids(self) -> np.ndarray:
         return np.nonzero(self.alive[: self._n_ids])[0]
@@ -353,18 +354,15 @@ class GcHeap:
         pages = np.repeat(first + spans - spans.cumsum(), spans) + np.arange(total)
         self.alive[ids] = False
         self.obj_page[ids] = -1
-        np.add.at(self.page_live, pages, -1)
+        candidates = self._add_live(pages, -1)
         self._free_ids.append(ids.copy())
-        self._page_index = None
         # Pages with no live objects: unmap + reuse.
-        candidates = np.unique(pages)
         empty = candidates[self.page_live[candidates] == 0]
         if empty.size:
             # Drop bump pointers into freed pages.
+            freed = set(empty.tolist())
             self._bump = {
-                s: (v, u) for s, (v, u) in self._bump.items() if v not in set(
-                    int(p) for p in empty
-                )
+                s: (v, u) for s, (v, u) in self._bump.items() if v not in freed
             }
             present = self.process.space.pt.present_mask(empty)
             to_unmap = empty[present]
@@ -373,7 +371,7 @@ class GcHeap:
                 # Unmapped translations must leave every vCPU's TLB.
                 self.kernel.tlb_shootdown(self.process, to_unmap)
                 self.kernel.vm.guest_frames.free(freed_gpfns)
-            self._free_pages.extend(int(p) for p in empty)
+            self._free_pages.extend(empty.tolist())
         return int(ids.size)
 
     def compact_edges(self) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hw.pageset import unique_pages
 from repro.trackers.boehm.heap import GEN_OLD, GEN_YOUNG, GcHeap
 
 __all__ = ["MarkResult", "full_mark", "minor_mark"]
@@ -32,12 +33,6 @@ class MarkResult:
     scanned_pages: np.ndarray  # unique heap pages read during the scan
 
 
-def _scan_pages(heap: GcHeap, ids: np.ndarray) -> np.ndarray:
-    if ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(heap.obj_page[ids])
-
-
 def full_mark(heap: GcHeap) -> MarkResult:
     """Stop-the-world mark: BFS over every live reachable object."""
     n = heap._n_ids
@@ -49,8 +44,7 @@ def full_mark(heap: GcHeap) -> MarkResult:
     visited = [roots]
     while frontier.size:
         nbrs = heap.out_neighbors(frontier)
-        nbrs = nbrs[heap.alive[nbrs] & ~marked[nbrs]]
-        nbrs = np.unique(nbrs)
+        nbrs = unique_pages(nbrs[heap.alive[nbrs] & ~marked[nbrs]], n)
         marked[nbrs] = True
         visited.append(nbrs)
         frontier = nbrs
@@ -58,7 +52,7 @@ def full_mark(heap: GcHeap) -> MarkResult:
     return MarkResult(
         marked=marked,
         n_visited=int(all_visited.size),
-        scanned_pages=_scan_pages(heap, all_visited),
+        scanned_pages=heap.pages_of(all_visited),
     )
 
 
@@ -75,7 +69,7 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
     roots = roots[heap.alive[roots]] if roots.size else roots
     on_dirty = heap.objects_on_pages(np.asarray(dirty_vpns, dtype=np.int64))
     old_dirty = on_dirty[heap.gen[on_dirty] == GEN_OLD]
-    scan_set = np.unique(np.concatenate([roots, old_dirty]))
+    scan_set = unique_pages(np.concatenate([roots, old_dirty]), n)
     # Young scan-set members are themselves live young objects.
     young_in_scan = scan_set[heap.gen[scan_set] == GEN_YOUNG]
     marked[young_in_scan] = True
@@ -88,7 +82,7 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
             & (heap.gen[nbrs] == GEN_YOUNG)
             & ~marked[nbrs]
         )
-        nbrs = np.unique(nbrs[keep])
+        nbrs = unique_pages(nbrs[keep], n)
         marked[nbrs] = True
         visited.append(nbrs)
         frontier = nbrs
@@ -96,5 +90,5 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
     return MarkResult(
         marked=marked,
         n_visited=int(all_visited.size),
-        scanned_pages=_scan_pages(heap, all_visited),
+        scanned_pages=heap.pages_of(all_visited),
     )

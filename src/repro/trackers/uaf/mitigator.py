@@ -156,9 +156,7 @@ class UafMitigator:
         if not self._did_full:
             kind = "full"
             scan_ids = self.heap.live_ids()
-            scan_pages = np.unique(self.heap.obj_page[scan_ids]) if (
-                scan_ids.size
-            ) else np.empty(0, dtype=np.int64)
+            scan_pages = self.heap.pages_of(scan_ids)
             self._did_full = True
         else:
             kind = "incremental"

@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.guest.plan import PlanBuilder
+from repro.hw.pageset import unique_pages
 from repro.workloads.base import MemoryContext, Workload
 
 __all__ = ["KvEngine", "OPS_PER_BATCH"]
@@ -70,19 +71,21 @@ class KvEngine(Workload):
         plans = ctx.supports_plans
         while done < self.n_iter:
             n_ops = min(OPS_PER_BATCH, self.n_iter - done)
-            offsets = self.target_pages(rng, done, n_ops, arena.n_pages)
+            offsets = unique_pages(
+                self.target_pages(rng, done, n_ops, arena.n_pages), arena.n_pages
+            )
             if plans:
                 # Offsets are freshly drawn each batch, so the plan is
                 # transient (no copies, no segment memoization) — the win
                 # is the single kernel entry for the write+compute pair.
                 ctx.run_plan(
                     PlanBuilder()
-                    .write(arena.vpns[np.unique(offsets)])
+                    .write(arena.vpns[offsets])
                     .compute(n_ops * self.us_per_op)
                     .build_transient()
                 )
             else:
-                ctx.write(arena, np.unique(offsets))
+                ctx.write(arena, offsets)
                 ctx.compute(n_ops * self.us_per_op)
             done += n_ops
             ctx.checkpoint_opportunity()

@@ -1,5 +1,8 @@
 """Tests for the OoH module/lib: SPML and EPML attachments."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,21 @@ def test_tracker_world_charged_for_init(stack, ooh):
     # ioctl M3 (5651 us) + hypercall M9 (5495 us) at least.
     assert stack.clock.world_us(World.TRACKER) - before >= 11_000
     ooh.detach(att)
+
+
+@pytest.mark.parametrize("kind", [OohKind.SPML, OohKind.EPML])
+def test_detached_ring_freed_without_cyclic_collector(stack, ooh, kind):
+    proc = spawn_tracked(stack)
+    att = ooh.attach(proc, kind)
+    stack.kernel.access(proc, np.arange(10), True)
+    ooh.fetch(att)
+    ring = weakref.ref(att.ring)
+    gc.disable()
+    try:
+        ooh.detach(att)
+        del att
+        # Reference counting alone frees the ring (megabytes in a real
+        # run): no cycle keeps a detached attachment alive.
+        assert ring() is None
+    finally:
+        gc.enable()

@@ -197,3 +197,44 @@ def test_replace_ref_validation(heap):
     heap.free_objects(ids[:1])
     with pytest.raises(GcError):
         heap.replace_ref(int(ids[0]), int(ids[1]), None)  # dead source
+
+
+def test_read_and_write_of_dead_object_rejected(heap):
+    ids = heap.alloc(2, 256)
+    heap.free_objects(ids[1:])
+    heap.read_objs(ids[:1])
+    with pytest.raises(GcError):
+        heap.read_objs(ids)
+    with pytest.raises(GcError):
+        heap.write_objs(ids)
+
+
+def test_freed_id_is_reused_first(heap):
+    a, _ = heap.alloc(2, 256)
+    heap.free_objects(np.array([a]))
+    (reused,) = heap.alloc(1, 256)
+    assert reused == a
+
+
+class _StaleEdgesError(Exception):
+    """A reused object id still carries its predecessor's out-edges."""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=_StaleEdgesError,
+    reason="known simulator bug, fix deferred (it changes simulated output): "
+    "free_objects keeps a freed object's out-edges and only full cycles "
+    "compact them, so a reused id inherits its predecessor's references",
+)
+def test_reused_id_starts_without_out_edges(heap):
+    a, b = heap.alloc(2, 256)
+    heap.set_refs([a], [b])
+    heap.free_objects(np.array([a]))
+    (reused,) = heap.alloc(1, 256)
+    # Reuse itself is pinned by test_freed_id_is_reused_first; only the
+    # stale-edge check below is the expected failure.
+    assert reused == a
+    stale = heap.out_neighbors(np.array([reused]))
+    if stale.size:
+        raise _StaleEdgesError(f"reused id {reused} still points to {stale}")
