@@ -12,6 +12,12 @@ real shared ring would lose data if the consumer lags; trackers surface the
 drop count so experiments can verify no loss occurred (evaluation question
 3 in §VI: "to what extent [are they] able to efficiently capture all dirty
 pages?").
+
+``capacity`` is the simulated ring size, and it alone decides overflow and
+drops.  Host storage follows occupancy: it starts empty and grows
+geometrically, never past ``capacity``, as entries arrive.  An attach of a
+default ring (2^20 entries) therefore zero-fills no 8 MiB when the tracker
+logs only a handful of pages.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class RingBuffer:
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"ring buffer capacity must be > 0: {capacity}")
-        self._buf = np.zeros(capacity, dtype=np.uint64)
+        self._buf = np.empty(0, dtype=np.uint64)  # grown on demand
         self._capacity = capacity
         self._head = 0  # next read position
         self._size = 0
@@ -75,7 +81,7 @@ class RingBuffer:
         if n >= self._capacity:
             # Only the newest `capacity` entries survive.
             dropped = self._size + (n - self._capacity)
-            self._buf[:] = arr[-self._capacity:]
+            self._buf = arr[-self._capacity:].copy()
             self._head = 0
             self._size = self._capacity
             self.total_dropped += dropped
@@ -83,17 +89,29 @@ class RingBuffer:
             return dropped + self._injected_overflow()
         dropped = max(0, n - self.free)
         if dropped:
-            self._head = (self._head + dropped) % self._capacity
+            self._head = (self._head + dropped) % len(self._buf)
             self._size -= dropped
             self.total_dropped += dropped
             self._trace_drop(dropped, "organic")
-        tail = (self._head + self._size) % self._capacity
-        first = min(n, self._capacity - tail)
+        if self._size + n > len(self._buf):
+            self._grow(self._size + n)
+        tail = (self._head + self._size) % len(self._buf)
+        first = min(n, len(self._buf) - tail)
         self._buf[tail:tail + first] = arr[:first]
         if first < n:
             self._buf[:n - first] = arr[first:]
         self._size += n
         return dropped + self._injected_overflow()
+
+    def _grow(self, need: int) -> None:
+        """Double storage (or more, to ``need``), never past capacity,
+        moving the live window to the front."""
+        buf = np.empty(
+            min(self._capacity, max(2 * len(self._buf), need)), dtype=np.uint64
+        )
+        buf[:self._size] = self.peek_all()
+        self._buf = buf
+        self._head = 0
 
     def _injected_overflow(self) -> int:
         """Fault injection: a lagging consumer loses the oldest entries.
@@ -105,7 +123,7 @@ class RingBuffer:
             return 0
         k = finj.ACTIVE.drop_count(FaultSite.RING_OVERFLOW, self._size)
         if k:
-            self._head = (self._head + k) % self._capacity
+            self._head = (self._head + k) % len(self._buf)
             self._size -= k
             self.total_dropped += k
             self._trace_drop(k, "injected")
@@ -120,8 +138,7 @@ class RingBuffer:
     def pop_all(self) -> np.ndarray:
         """Drain the buffer, returning entries in FIFO order."""
         out = self.peek_all()
-        self._head = (self._head + self._size) % self._capacity
-        self._size = 0
+        self.clear()
         return out
 
     def peek_all(self) -> np.ndarray:
@@ -129,11 +146,11 @@ class RingBuffer:
         if self._size == 0:
             return np.empty(0, dtype=np.uint64)
         end = self._head + self._size
-        if end <= self._capacity:
+        if end <= len(self._buf):
             return self._buf[self._head:end].copy()
-        first = self._buf[self._head:].copy()
-        second = self._buf[:end - self._capacity].copy()
-        return np.concatenate([first, second])
+        return np.concatenate(
+            [self._buf[self._head:], self._buf[:end - len(self._buf)]]
+        )
 
     def clear(self) -> None:
         self._head = 0

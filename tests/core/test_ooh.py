@@ -1,6 +1,7 @@
 """Tests for the OoH module/lib: SPML and EPML attachments."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -187,3 +188,21 @@ def test_detached_ring_freed_without_cyclic_collector(stack, ooh, kind):
         assert ring() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", [OohKind.SPML, OohKind.EPML])
+def test_default_capacity_attach_allocates_no_ring_storage(stack, kind):
+    """An attach at the default 2^20-entry capacity allocates ring storage
+    as entries arrive, not 8 MiB up front (numpy reports its buffers to
+    tracemalloc)."""
+    lib = OohLib(OohModule(stack.kernel))
+    proc = spawn_tracked(stack)
+    tracemalloc.start()
+    try:
+        att = lib.attach(proc, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert att.ring.capacity == 1 << 20
+    assert peak < 1 << 20
+    lib.detach(att)

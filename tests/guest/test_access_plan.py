@@ -14,6 +14,7 @@ import pytest
 from repro.errors import GuestError, WorkloadError
 from repro.experiments.harness import build_stack
 from repro.guest.plan import AccessPlan, PlanBuilder
+from repro.obs import trace as otr
 from repro.workloads import FlatContext
 from repro.workloads.base import GcContext
 
@@ -114,26 +115,30 @@ def test_plan_repeated_execution_stays_identical():
 
 def test_multi_batch_segment_replays():
     """A plan whose segment holds several batches replays wholesale."""
-    stack, proc = _stack()
-    mmu = stack.vm.mmu
-    mmu._cache = {}
-    b = PlanBuilder()
-    for lo in range(0, 64, 16):
-        b.write(np.arange(lo, lo + 16, dtype=np.int64))
-    plan = b.build()
-    assert plan.n_batches == 4 and len(plan.items) == 1
-    for _ in range(3):
-        stack.kernel.access_plan(proc, plan)
-    assert mmu.n_segment_replays >= 1
-    # Dirty-bit re-arm must bust the segment entry too.
-    from repro.hw.pagetable import PTE_DIRTY
+    # Detailed tracing (the REPRO_TRACE=1 session) disables segment
+    # replay by design, so pin a summary-only session; `active()`
+    # restores the previous one on exit.
+    with otr.TraceSession(detail=False).active():
+        stack, proc = _stack()
+        mmu = stack.vm.mmu
+        mmu._cache = {}
+        b = PlanBuilder()
+        for lo in range(0, 64, 16):
+            b.write(np.arange(lo, lo + 16, dtype=np.int64))
+        plan = b.build()
+        assert plan.n_batches == 4 and len(plan.items) == 1
+        for _ in range(3):
+            stack.kernel.access_plan(proc, plan)
+        assert mmu.n_segment_replays >= 1
+        # Dirty-bit re-arm must bust the segment entry too.
+        from repro.hw.pagetable import PTE_DIRTY
 
-    proc.space.pt.clear_flags(np.arange(64), PTE_DIRTY)
-    proc.space.invalidate_all(np.arange(64))
-    before = mmu.n_segment_replays
-    rs = stack.kernel.access_plan(proc, plan)
-    assert mmu.n_segment_replays == before
-    assert sum(r.newly_pte_dirty.size for r in rs) == 64
+        proc.space.pt.clear_flags(np.arange(64), PTE_DIRTY)
+        proc.space.invalidate_all(np.arange(64))
+        before = mmu.n_segment_replays
+        rs = stack.kernel.access_plan(proc, plan)
+        assert mmu.n_segment_replays == before
+        assert sum(r.newly_pte_dirty.size for r in rs) == 64
 
 
 def test_listeners_observe_every_batch_in_order():
