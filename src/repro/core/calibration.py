@@ -26,7 +26,7 @@ address-space pages) — is captured directly by the published curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,10 @@ class SizeCurve:
     name: str
     pages: np.ndarray  # ascending page counts
     total_us: np.ndarray  # total cost at each page count, microseconds
+    #: ``total`` memo for scalar integer page counts.  Callers price
+    #: operations at a VM's ``mem_pages``, so the keys are the handful of
+    #: VM sizes a run builds and the memo stays small.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.pages) != len(self.total_us) or len(self.pages) < 2:
@@ -127,6 +131,14 @@ class SizeCurve:
 
     def total(self, n_pages: int | np.ndarray) -> float | np.ndarray:
         """Total cost in us for an operation spanning ``n_pages`` pages."""
+        if isinstance(n_pages, (int, np.integer)):
+            out = self._memo.get(n_pages)
+            if out is None:
+                out = self._memo[n_pages] = self._total(n_pages)
+            return out
+        return self._total(n_pages)
+
+    def _total(self, n_pages: int | np.ndarray) -> float | np.ndarray:
         n = np.asarray(n_pages, dtype=np.float64)
         lo_p, hi_p = self.pages[0], self.pages[-1]
         out = np.interp(n, self.pages, self.total_us)

@@ -72,18 +72,24 @@ class Ept:
     # ------------------------------------------------------------------
     # access/dirty bookkeeping (called by the MMU on each access batch)
     # ------------------------------------------------------------------
-    def touch(self, gpfns: np.ndarray, write_mask: np.ndarray) -> np.ndarray:
+    def touch(
+        self, gpfns: np.ndarray, write_mask: np.ndarray | bool
+    ) -> np.ndarray:
         """Set A (all) / D (writes) bits; return GPFNs whose D bit went 0->1.
 
-        The returned array is exactly what the PML circuit must log.
+        ``write_mask`` is per-GPFN, or one bool for the whole batch.  The
+        returned array is exactly what the PML circuit must log.
         """
         g = self._check(gpfns)
-        w = np.asarray(write_mask, dtype=bool).ravel()
-        if g.size != w.size:
-            raise ValueError("gpfns and write_mask length mismatch")
+        if isinstance(write_mask, bool):
+            written = g if write_mask else g[:0]
+        else:
+            w = np.asarray(write_mask, dtype=bool).ravel()
+            if g.size != w.size:
+                raise ValueError("gpfns and write_mask length mismatch")
+            written = g[w]
         self.flags[g] |= EPT_ACCESSED
         self.generation += 1
-        written = g[w]
         if written.size == 0:
             return np.empty(0, dtype=np.int64)
         was_clean = (self.flags[written] & EPT_DIRTY) == 0

@@ -15,13 +15,16 @@ the MMU raises #PF / EPT violations, software decides what they mean.
 
 Two walk implementations produce bit-identical outcomes:
 
-* the **fused** walk (default) gathers ``pt.flags`` once and derives the
-  present/writable/dirty masks from that single read, with one dedup pass
-  feeding PTE bits, EPT bits, and content writes.  It is fronted by a
-  **TLB fast path**: a sorted-unique batch whose pages are all TLB-cached,
-  present, writable, and already PTE+EPT dirty cannot fault and cannot
-  produce a 0->1 dirty transition (so nothing can be logged), exactly as
-  a real TLB hit on a dirty writable translation skips the walk circuit;
+* the **fused** walk (default) normalises each batch once to a page
+  set: a sorted-distinct batch is its own set, any other is reduced to
+  its sorted distinct pages plus a per-page "any write" flag (every walk
+  outcome depends on nothing else).  Steps 1-5 run on that set, and a
+  scalar write mask stays a plain ``bool`` throughout.  A sorted-distinct
+  batch is first offered to the **TLB fast path**: if its pages are all
+  TLB-cached, present, writable, and already PTE+EPT dirty, it cannot
+  fault and cannot produce a 0->1 dirty transition (so nothing can be
+  logged), exactly as a real TLB hit on a dirty writable translation
+  skips the walk circuit;
 * the **multipass** walk is the original five-pass reference, kept behind
   ``fused=False`` (or ``REPRO_FUSED_MMU=0``) so differential tests can
   pit the two against each other.
@@ -93,6 +96,13 @@ def _walk_cache_default() -> bool:
 _WALK_CACHE_CAP = 256
 #: Memoized plan-segment outcomes kept per MMU (FIFO eviction).
 _PLAN_CACHE_CAP = 64
+
+
+def _sel(a: np.ndarray, w: np.ndarray | bool) -> np.ndarray:
+    """The entries of ``a`` written under mask ``w`` (a bool or an array)."""
+    if w is True:
+        return a
+    return a[:0] if w is False else a[w]
 
 
 def _as_run(h: np.ndarray) -> tuple[int, int] | None:
@@ -285,8 +295,18 @@ class Mmu:
                         return res
                 else:
                     del cache[key]
-        w_full = np.full(v.shape, wbool) if w is None else w
-        h = self._try_fast_path(pt, tlb, v, w_full)
+        # Settle the batch's shape once (see module docstring).
+        sd = v.size == 1 or bool((v[1:] > v[:-1]).all())
+        lo, hi = (v[0], v[-1]) if sd else (v.min(), v.max())
+        if lo < 0 or hi >= pt.n_pages:
+            raise InvalidAddressError("VPN out of address space")
+        m = wbool if w is None else w
+        if not sd:
+            pages = unique_pages(v, pt.n_pages)
+            if w is not None:
+                m = pages_in(pages, v[w], pt.n_pages)
+            return self._access_fused(pt, tlb, pages, m, handlers, res, pml)
+        h = self._try_fast_path(pt, tlb, v, m)
         if h is not None:
             self.n_fast_batches += 1
             self.n_fast_accesses += res.n_accesses
@@ -306,7 +326,7 @@ class Mmu:
                     _as_run(h),
                 )
             return res
-        return self._access_fused(pt, tlb, v, w_full, handlers, res, pml)
+        return self._access_fused(pt, tlb, v, m, handlers, res, pml)
 
     # ------------------------------------------------------------------
     # TLB fast path
@@ -314,10 +334,11 @@ class Mmu:
     def _try_fast_path(self, pt: PageTable, tlb: Tlb, v, w) -> np.ndarray | None:
         """Resolve the batch without a walk when nothing can change.
 
-        Applicable to sorted-unique batches (no dedup pass needed) whose
-        pages are all TLB-cached with PTE present+accessed (+writable and
-        PTE/EPT dirty for written pages): no fault can fire and no dirty
-        bit can transition 0->1, so no PML entry can be logged.  The only
+        Applicable to in-range sorted-distinct batches (``w`` a bool or a
+        per-page mask) whose pages are all TLB-cached with PTE
+        present+accessed (+writable and PTE/EPT dirty for written pages):
+        no fault can fire and no dirty bit can transition 0->1, so no PML
+        entry can be logged.  The only
         remaining architectural effects are the content-token writes and
         the TLB refresh, both performed here bit-identically to the walk.
 
@@ -325,17 +346,13 @@ class Mmu:
         what the walk cache needs to replay the batch — or ``None`` when
         the batch must take the full walk.
         """
-        if v.size > 1 and not (v[1:] > v[:-1]).all():
-            return None  # not sorted-unique: take the full walk
-        if v[0] < 0 or v[-1] >= pt.n_pages:
-            return None  # out of range: let the walk raise
         if not tlb.cached_all(v):
             return None
         f = pt.flags[v]
         need_r = PTE_PRESENT | PTE_ACCESSED
         if not ((f & need_r) == need_r).all():
             return None
-        fw = f[w]
+        fw = _sel(f, w)
         need_w = PTE_WRITABLE | PTE_DIRTY
         if fw.size and not ((fw & need_w) == need_w).all():
             return None
@@ -345,10 +362,10 @@ class Mmu:
         ef = self.ept.flags[g]
         if not ((ef & EPT_ACCESSED) != 0).all():
             return None
-        efw = ef[w]
+        efw = _sel(ef, w)
         if efw.size and not ((efw & EPT_DIRTY) != 0).all():
             return None
-        h = self.ept.hpfn[g[w]]
+        h = self.ept.hpfn[_sel(g, w)]
         if h.size and (h < 0).any():
             return None
         self.host_mem.write(h)
@@ -368,17 +385,17 @@ class Mmu:
         res: MmuResult,
         pml: PmlCircuit,
     ) -> MmuResult:
-        n = pt.n_pages
-        if int(v.min()) < 0 or int(v.max()) >= n:
-            raise InvalidAddressError("VPN out of address space")
+        # ``v`` is a sorted-distinct, in-range page set and ``w`` its
+        # per-page write flags (an array) or one flag for all (a bool).
+        scalar = isinstance(w, bool)
         flags = pt.flags[v]
 
         # -- 1. missing pages -------------------------------------------
         present = (flags & PTE_PRESENT) != 0
         if not present.all():
             absent = ~present
-            missing = unique_pages(v[absent], n)
-            missing_w = pages_in(missing, v[absent & w], n)
+            missing = v[absent]
+            missing_w = np.full(missing.size, w) if scalar else w[absent]
             handled_by_ufd = handlers.handle_ufd_miss_fault(missing, missing_w)
             res.n_ufd_faults += int(len(handled_by_ufd))
             still = ~np.isin(missing, handled_by_ufd)
@@ -390,49 +407,46 @@ class Mmu:
                 raise ProtectionFault("fault handler left pages unmapped")
 
         # -- 2. write-protection faults ----------------------------------
-        any_w = bool(w.any())
+        any_w = w if scalar else bool(w.any())
         if any_w:
-            writable = (flags[w] & PTE_WRITABLE) != 0
+            writable = (_sel(flags, w) & PTE_WRITABLE) != 0
             if not writable.all():
-                faulting = unique_pages(v[w][~writable], n)
+                faulting = _sel(v, w)[~writable]
                 ufd_mask = (pt.flags[faulting] & PTE_UFD_WP) != 0
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
                 handlers.handle_wp_fault(faulting, ufd_mask)
                 flags = pt.flags[v]
-                if not ((flags[w] & PTE_WRITABLE) != 0).all():
+                if not ((_sel(flags, w) & PTE_WRITABLE) != 0).all():
                     raise ProtectionFault("WP fault handler left pages read-only")
 
-        # -- 3+4. one dedup pass feeds PTE bits, EPT bits, content writes
-        # No handler runs past this point, so the flags re-read at the
-        # deduped pages equal the batch gather at each page's first access.
-        uniq_v = unique_pages(v, n)
-        uniq_w = pages_in(uniq_v, v[w], n)
-        fu = pt.flags[uniq_v]
-        newf = fu | PTE_ACCESSED
+        # -- 3+4. PTE bits, EPT bits ------------------------------------
+        # No handler runs past this point, so ``flags`` is current.
+        newf = flags | PTE_ACCESSED
         if any_w:
-            was_clean = uniq_w & ((fu & PTE_DIRTY) == 0)
-            res.newly_pte_dirty = uniq_v[was_clean]
-            newf = np.where(uniq_w, newf | PTE_DIRTY, newf)
-            pt.flags[uniq_v] = newf
-            pt.generation += 1  # direct flag write bypasses set_flags
+            was_clean = (flags & PTE_DIRTY) == 0
+            if scalar:
+                newf |= PTE_DIRTY
+            else:
+                was_clean &= w
+                newf = np.where(w, newf | PTE_DIRTY, newf)
+            res.newly_pte_dirty = v[was_clean]
+        pt.flags[v] = newf
+        pt.generation += 1  # direct flag write bypasses set_flags
+        if any_w:
             # EPML guest-level logging: GVAs whose PTE dirty bit was set.
             pml.log_gvas(res.newly_pte_dirty)
-        else:
-            pt.flags[uniq_v] = newf
-            pt.generation += 1  # direct flag write bypasses set_flags
-        gpfns = pt.gpfn[uniq_v]
+        gpfns = pt.gpfn[v]
         if (gpfns < 0).any():
             raise InvalidAddressError("translate of unmapped VPN")
-        res.newly_ept_dirty = self.ept.touch(gpfns, uniq_w)
+        res.newly_ept_dirty = self.ept.touch(gpfns, w)
         # Hypervisor-level PML logging: GPAs whose EPT dirty bit was set.
         pml.log_gpas(res.newly_ept_dirty)
 
         # -- 5. content mutation + TLB -----------------------------------
-        if uniq_w.any():
-            hpfns = self.ept.translate(gpfns[uniq_w])
-            self.host_mem.write(hpfns)
-        tlb.fill(uniq_v)
+        if any_w:
+            self.host_mem.write(self.ept.translate(_sel(gpfns, w)))
+        tlb.fill(v)
         return res
 
     # ------------------------------------------------------------------

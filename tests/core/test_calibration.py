@@ -93,3 +93,33 @@ def test_table_va_values():
     assert calibration.TABLE_VA_US["m7_vmread"] == pytest.approx(0.936)
     assert calibration.TABLE_VA_US["m8_vmwrite"] == pytest.approx(0.801)
     assert calibration.PML_BUFFER_ENTRIES == 512
+
+
+def _probe_points(c: SizeCurve) -> list[int]:
+    """Below range, at a knot, between knots and above range."""
+    p = [int(x) for x in c.pages]
+    return [p[0] // 2, p[3], (p[3] + p[4]) // 2 + 1, p[-1] * 2 + 7]
+
+
+def test_memoized_total_and_unit_equal_fresh_curve():
+    warm = size_curves()
+    for name, c in warm.items():
+        for n in _probe_points(c):
+            for arg in (n, np.int64(n)):
+                first = c.total(arg)
+                again = c.total(arg)
+                fresh = size_curves()[name].total(n)
+                assert type(first) is float and first == fresh, (name, n)
+                assert again is first  # served from the memo
+                assert c.unit(arg) == size_curves()[name].unit(n)
+                assert type(c.unit(arg)) is float
+
+
+def test_array_total_bypasses_memo_and_matches_interp():
+    c = size_curves()["m18_rb_copy"]
+    xs = np.array([int(x) for x in c.pages[1:-1]] + [1000, 70000])
+    out = c.total(xs)
+    assert isinstance(out, np.ndarray)
+    assert c._memo == {}  # array inputs are not memoized
+    assert out.tolist() == np.interp(xs, c.pages, c.total_us).tolist()
+    assert out.tolist() == [c.total(int(x)) for x in xs]

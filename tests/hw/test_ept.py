@@ -85,3 +85,34 @@ def test_length_mismatch():
     ept.map([0, 1], [5, 6])
     with pytest.raises(ValueError):
         ept.touch(np.array([0, 1]), np.array([True]))
+
+
+def test_touch_scalar_true_equals_all_true_mask():
+    a, b = Ept(8), Ept(8)
+    for ept in (a, b):
+        ept.map([0, 1, 2], [10, 11, 12])
+        ept.touch(np.array([1]), np.array([True]))
+    g = np.array([0, 1, 2], dtype=np.int64)
+    got = a.touch(g, True)
+    want = b.touch(g, np.ones(g.size, dtype=bool))
+    assert got.dtype == want.dtype and got.tolist() == want.tolist() == [0, 2]
+    assert a.flags.tolist() == b.flags.tolist()
+    assert a.generation == b.generation
+
+
+def test_touch_scalar_false_sets_only_accessed():
+    ept = Ept(8)
+    ept.map([0, 1], [10, 11])
+    g0 = ept.generation
+    newly = ept.touch(np.array([0, 1]), False)
+    assert newly.dtype == np.int64 and newly.size == 0
+    assert ((ept.flags[:2] & EPT_ACCESSED) != 0).all()
+    assert ((ept.flags[:2] & EPT_DIRTY) == 0).all()
+    assert ept.generation == g0 + 1
+
+
+def test_touch_scalar_true_logs_repeated_gpfn_once():
+    ept = Ept(8)
+    ept.map([2, 5], [12, 15])
+    newly = ept.touch(np.array([5, 2, 5, 2, 5]), True)
+    assert newly.tolist() == [2, 5]

@@ -87,48 +87,115 @@ class Harness:
         )
 
 
-BATCHES = st.lists(
-    st.lists(
-        st.tuples(st.integers(0, N_PAGES - 1), st.booleans()),
-        min_size=1,
-        max_size=40,
-    ),
+@st.composite
+def _batch(draw):
+    """One access batch of a drawn shape with a drawn write-mask kind.
+
+    Shapes: a contiguous run, sorted with gaps, unsorted with duplicates
+    (one page both read and written when the mask is an array), or a
+    single page.  Mask kinds: scalar ``True``, scalar ``False``, or a
+    per-access array.
+    """
+    shape = draw(st.sampled_from(("run", "gaps", "dups", "single")))
+    kind = draw(st.sampled_from(("true", "false", "array")))
+    page = st.integers(0, N_PAGES - 1)
+    if shape == "run":
+        lo = draw(page)
+        vpns = list(range(lo, lo + draw(st.integers(1, min(40, N_PAGES - lo)))))
+    elif shape == "gaps":
+        vpns = sorted(draw(st.sets(page, min_size=2, max_size=40)))
+    elif shape == "dups":
+        both = draw(page)
+        vpns = draw(st.lists(page, min_size=1, max_size=38)) + [both, both]
+    else:
+        vpns = [draw(page)]
+    if kind != "array":
+        writes = kind == "true"
+    else:
+        writes = draw(st.lists(st.booleans(), min_size=len(vpns),
+                               max_size=len(vpns)))
+        if shape == "dups":
+            writes[-2:] = [False, True]
+    if shape == "dups":
+        order = draw(st.permutations(range(len(vpns))))
+        vpns = [vpns[i] for i in order]
+        if kind == "array":
+            writes = [writes[i] for i in order]
+    return vpns, writes
+
+
+#: Re-arm operations the trackers interleave with the workload: soft-dirty
+#: ``clear_refs`` (write-protects, so writes fault again), the PML
+#: harvest's EPT dirty clear, and EPML's PTE dirty clear (both re-arm a
+#: 0->1 transition).
+REARMS = ("clear_refs", "clear_ept_dirty", "clear_pte_dirty")
+
+OPS = st.lists(
+    st.one_of(_batch(), _batch(), st.sampled_from(REARMS)),
     min_size=1,
-    max_size=12,
+    max_size=14,
 )
 
 
-def drive(fused: bool, batches) -> Harness:
+def drive(fused: bool, ops) -> Harness:
     h = Harness(fused=fused)
-    for batch in batches:
-        vpns = np.array([v for v, _ in batch], dtype=np.int64)
-        writes = np.array([w for _, w in batch], dtype=bool)
-        h.access(vpns, writes)
+    for op in ops:
+        if op == "clear_refs":
+            h.kernel.procfs.clear_refs(h.proc)
+        elif op == "clear_ept_dirty":
+            h.vm.ept.clear_dirty()
+        elif op == "clear_pte_dirty":
+            mapped = h.proc.space.pt.mapped_vpns()
+            h.proc.space.pt.clear_flags(mapped, PTE_DIRTY)
+            h.kernel.tlb_shootdown(h.proc, mapped)
+        else:
+            vpns, writes = op
+            h.access(np.array(vpns, dtype=np.int64),
+                     writes if isinstance(writes, bool)
+                     else np.array(writes, dtype=bool))
     return h
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches=BATCHES)
-def test_fused_equals_multipass(batches):
-    """Full-state equivalence over randomized batch streams."""
-    fused = drive(True, batches)
-    multi = drive(False, batches)
-    assert fused.state() == multi.state()
-
-
-@settings(max_examples=40, deadline=None)
-@given(batches=BATCHES)
-def test_fused_equals_reference_model(batches):
-    """Fused walk vs the independent scalar reference (log semantics)."""
-    fused = drive(True, batches)
+def drive_ref(ops) -> RefMachine:
     ref = RefMachine(N_PAGES, capacity=CAPACITY)
     ref.hyp_enabled = True
     ref.guest_enabled = True
-    for batch in batches:
-        for vpn, write in batch:
-            ref.access(vpn, write)
-    # Scalar replay has no batch dedup, so compare per-page outcomes.
-    assert set(fused.guest_log()) == set(ref.drain_guest())
+    for op in ops:
+        if op == "clear_ept_dirty":
+            ref.clear_ept_dirty()
+        elif op == "clear_pte_dirty":
+            ref.clear_pte_dirty()
+        elif op != "clear_refs":  # soft-dirty state is not logged
+            vpns, writes = op
+            for i, vpn in enumerate(vpns):
+                ref.access(vpn, writes if isinstance(writes, bool)
+                           else writes[i])
+    return ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=OPS)
+def test_fused_equals_multipass(ops):
+    """Full-state equivalence over randomized batch streams."""
+    fused = drive(True, ops)
+    multi = drive(False, ops)
+    assert fused.state() == multi.state()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS)
+def test_fused_equals_reference_model(ops):
+    """Fused walk vs the independent scalar reference (log semantics)."""
+    fused = drive(True, ops)
+    ref = drive_ref(ops)
+    # Batches log in page order, the scalar replay in access order; both
+    # log each 0->1 transition exactly once, so compare as multisets.
+    assert sorted(fused.guest_log()) == sorted(ref.drain_guest())
+    vpn_of = {int(g): v for v, g in enumerate(fused.proc.space.pt.gpfn)}
+    ref_vpn_of = {g: v for v, g in ref.gpfn_of.items()}
+    assert sorted(vpn_of[g] for g in fused.hyp_log()) == sorted(
+        ref_vpn_of[g] for g in ref.drain_hyp()
+    )
     assert set(fused.pte_dirty()) == {v for v, d in ref.pte_dirty.items() if d}
 
 
