@@ -59,7 +59,8 @@ class SimClock:
 
     def __init__(self) -> None:
         self.now_us: float = 0.0
-        self._world_us: Counter[World] = Counter()
+        #: Keyed on ``World.value``: a str hashes faster than an enum member.
+        self._world_us: Counter[str] = Counter()
         self._event_us: Counter[str] = Counter()
         self._event_count: Counter[str] = Counter()
 
@@ -78,7 +79,7 @@ class SimClock:
         if count < 0:
             raise ValueError(f"negative count: {count} for event {event!r}")
         self.now_us += us
-        self._world_us[world] += us
+        self._world_us[world.value] += us
         self._event_us[event] += us
         self._event_count[event] += count
 
@@ -92,7 +93,7 @@ class SimClock:
     # reading
     # ------------------------------------------------------------------
     def world_us(self, world: World) -> float:
-        return float(self._world_us[world])
+        return float(self._world_us[world.value])
 
     def event_us(self, event: str) -> float:
         return float(self._event_us[event])
@@ -107,7 +108,7 @@ class SimClock:
     def snapshot(self) -> ClockSnapshot:
         return ClockSnapshot(
             now_us=self.now_us,
-            world_us={w.value: float(v) for w, v in self._world_us.items()},
+            world_us={w: float(v) for w, v in self._world_us.items()},
             event_us=dict(self._event_us),
             event_count=dict(self._event_count),
         )
@@ -118,7 +119,7 @@ class SimClock:
     def since(self, snap: ClockSnapshot) -> ClockSnapshot:
         """Delta between now and an earlier :meth:`snapshot`."""
         world_us = {
-            w.value: float(self._world_us[w]) - snap.world_us.get(w.value, 0.0)
+            w.value: float(self._world_us[w.value]) - snap.world_us.get(w.value, 0.0)
             for w in World
         }
         event_us = {

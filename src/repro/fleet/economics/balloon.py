@@ -6,12 +6,12 @@ driver is the one guest-side seam, exactly like the OoH module):
 
 * **inflate** — the driver picks cold victim pages (EPT accessed bit
   still clear since the last WSS sample), saves their content tokens to
-  a swap store, unmaps the PTEs (with a TLB shootdown — every vCPU may
-  cache the dying translations) and hands the guest frames to the
-  hypervisor via ``HC_OOH_BALLOON_INFLATE``, which EPT-unmaps them and
-  returns the host frames to the pool.  Ballooned guest frames are held
-  by the driver — *not* returned to the guest allocator — so the guest
-  can never re-allocate an EPT-unbacked frame.
+  a VPN-indexed swap store, unmaps the PTEs (with a TLB shootdown —
+  every vCPU may cache the dying translations) and hands the guest
+  frames to the hypervisor via ``HC_OOH_BALLOON_INFLATE``, which
+  EPT-unmaps them and returns the host frames to the pool.  Ballooned
+  guest frames are held by the driver — *not* returned to the guest
+  allocator — so the guest can never re-allocate an EPT-unbacked frame.
 * **refault** — the workload touches a reclaimed page: a uffd MISSING
   fault fires (the driver registered the workload VMAs at attach), the
   kernel maps a fresh guest frame, and the driver's miss resolver
@@ -36,6 +36,8 @@ from repro.core.clock import World
 from repro.core.costs import EV_RECLAIM_COPY, EV_REFAULT_COPY
 from repro.errors import ConfigurationError, TrackingError
 from repro.guest.uffd import UfdMode, UserFaultFd
+from repro.hw.pageset import unique_pages
+from repro.hw.pagetable import PTE_PRESENT
 from repro.hypervisor.hypercalls import (
     HC_OOH_BALLOON_DEFLATE,
     HC_OOH_BALLOON_INFLATE,
@@ -69,8 +71,11 @@ class BalloonDriver:
         self.kernel = fvm.kernel
         self.proc = fvm.proc
         self.vm = fvm.vm
-        #: vpn -> content token saved at reclaim (the swap store).
-        self._swap: dict[int, int] = {}
+        n = self.proc.space.pt.n_pages
+        #: The swap store, indexed by VPN: which pages are reclaimed and
+        #: the content token each had when it was.
+        self._swapped = np.zeros(n, dtype=bool)
+        self._swap_tok = np.zeros(n, dtype=np.uint64)
         #: Guest frames held while their host backing is returned (LIFO).
         self._held_gpfns: list[int] = []
         self._retrier = Retrier(self.vm.clock, World.KERNEL)
@@ -79,7 +84,7 @@ class BalloonDriver:
         self.refault_faults = 0
         #: Refaults currently being resolved (reentrancy guard: reclaim
         #: triggered from inside a refault must not unmap batch pages).
-        self._inflight: set[int] = set()
+        self._inflight = np.zeros(n, dtype=bool)
         # Refaults trap to userspace, lazy-pages style.
         self.uffd: UserFaultFd = self.kernel.create_uffd(self.proc)
         for vma in self.proc.space.vmas:
@@ -92,14 +97,18 @@ class BalloonDriver:
         return len(self._held_gpfns)
 
     @property
+    def swapped_pages(self) -> int:
+        """Reclaimed pages whose tokens wait in the swap store."""
+        return int(np.count_nonzero(self._swapped))
+
+    @property
     def resident_pages(self) -> int:
         """Present workload pages (what reclaim can still take from)."""
-        pt = self.proc.space.pt
-        total = 0
-        for vma in self.proc.space.vmas:
-            vpns = np.arange(vma.start_vpn, vma.end_vpn, dtype=np.int64)
-            total += int(pt.present_mask(vpns).sum())
-        return total
+        flags = self.proc.space.pt.flags
+        return sum(
+            int(np.count_nonzero(flags[vma.start_vpn:vma.end_vpn] & PTE_PRESENT))
+            for vma in self.proc.space.vmas
+        )
 
     # -- inflate (reclaim) ---------------------------------------------
     def _victims(self, n: int) -> np.ndarray:
@@ -109,20 +118,18 @@ class BalloonDriver:
         never victims: the fused access will still complete on them, and
         unmapping one mid-fault would leave the resolved batch unmapped."""
         pt = self.proc.space.pt
-        pools = []
-        for vma in self.proc.space.vmas:
-            vpns = np.arange(vma.start_vpn, vma.end_vpn, dtype=np.int64)
-            pools.append(vpns[pt.present_mask(vpns)])
+        pools = [
+            vma.start_vpn
+            + np.flatnonzero(pt.flags[vma.start_vpn:vma.end_vpn] & PTE_PRESENT)
+            for vma in self.proc.space.vmas
+        ]
         if not pools:
             return np.empty(0, dtype=np.int64)
-        cand = np.unique(np.concatenate(pools))
+        cand = unique_pages(np.concatenate(pools), pt.n_pages)
         active = self.kernel.active_access_vpns(self.proc)
         if active.size:
             cand = cand[~np.isin(cand, active)]
-        if self._inflight:
-            cand = cand[~np.isin(cand, np.fromiter(
-                self._inflight, dtype=np.int64
-            ))]
+        cand = cand[~self._inflight[cand]]
         if cand.size == 0:
             return cand
         gpfns = pt.translate(cand)
@@ -139,9 +146,8 @@ class BalloonDriver:
         if victims.size == 0:
             return 0
         pt = self.proc.space.pt
-        tokens = self.vm.mmu.read_page_contents(pt, victims)
-        for v, t in zip(victims, tokens):
-            self._swap[int(v)] = int(t)
+        self._swap_tok[victims] = self.vm.mmu.read_page_contents(pt, victims)
+        self._swapped[victims] = True
         # Dying translations may be cached on any vCPU.
         self.kernel.tlb_shootdown(self.proc, victims)
         gpfns = pt.unmap(victims)
@@ -154,7 +160,7 @@ class BalloonDriver:
         self._retrier.call(
             lambda: self.vm.vcpu.hypercall(HC_OOH_BALLOON_INFLATE, gpfns)
         )
-        self._held_gpfns.extend(int(g) for g in gpfns)
+        self._held_gpfns.extend(gpfns.tolist())
         self.reclaimed_pages += int(victims.size)
         if otr.ACTIVE is not None:
             otr.ACTIVE.emit(
@@ -171,7 +177,7 @@ class BalloonDriver:
         vpns = np.asarray(vpns, dtype=np.int64)
         if vpns.size == 0:
             return
-        self._inflight.update(int(v) for v in vpns)
+        self._inflight[vpns] = True
         try:
             # Every miss consumed one fresh guest frame; release the same
             # number of held frames so the guest allocator float is
@@ -197,13 +203,12 @@ class BalloonDriver:
                     )
             # Reinstall saved contents for the reclaimed pages in the
             # batch, before the MMU completes the triggering access.
-            refaults = [int(v) for v in vpns if int(v) in self._swap]
-            if refaults:
-                arr = np.array(refaults, dtype=np.int64)
-                tokens = np.array(
-                    [self._swap.pop(v) for v in refaults], dtype=np.uint64
+            arr = vpns[self._swapped[vpns]]
+            if arr.size:
+                self._swapped[arr] = False
+                self.vm.mmu.write_page_contents(
+                    self.proc.space.pt, arr, self._swap_tok[arr]
                 )
-                self.vm.mmu.write_page_contents(self.proc.space.pt, arr, tokens)
                 self.vm.clock.charge(
                     arr.size * self.vm.costs.params.refault_copy_us_per_page,
                     World.KERNEL,
@@ -222,7 +227,7 @@ class BalloonDriver:
                         "economics.refault_pages", int(arr.size)
                     )
         finally:
-            self._inflight.difference_update(int(v) for v in vpns)
+            self._inflight[vpns] = False
 
     def deflate_all(self) -> int:
         """Drain the balloon: re-back every held frame and reinstall
@@ -231,7 +236,7 @@ class BalloonDriver:
         ``_source_contents`` only sees present pages, so a swapped token
         left behind would be silently lost in transit."""
         pt = self.proc.space.pt
-        vpns = np.array(sorted(self._swap), dtype=np.int64)
+        vpns = np.flatnonzero(self._swapped)
         if self._held_gpfns:
             self.economics.ensure_free(len(self._held_gpfns), requester=self)
             batch = np.array(self._held_gpfns, dtype=np.int64)
@@ -253,10 +258,8 @@ class BalloonDriver:
             lambda: self.vm.guest_frames.alloc(int(vpns.size))
         )
         pt.map(vpns, gpfns, writable=True, soft_dirty=True)
-        tokens = np.array(
-            [self._swap.pop(int(v)) for v in vpns], dtype=np.uint64
-        )
-        self.vm.mmu.write_page_contents(pt, vpns, tokens)
+        self._swapped[vpns] = False
+        self.vm.mmu.write_page_contents(pt, vpns, self._swap_tok[vpns])
         self.vm.clock.charge(
             vpns.size * self.vm.costs.params.refault_copy_us_per_page,
             World.KERNEL,

@@ -227,9 +227,12 @@ class _MigrationState:
         self.gen = None
         self.report: FleetMigrationReport | None = None
         self.start_us = 0.0
-        self.final_tokens: dict[int, int] = {}
+        #: The paused source image: ascending VPNs and their tokens.
+        self.final_vpns = np.empty(0, dtype=np.int64)
+        self.final_tokens = np.empty(0, dtype=np.uint64)
         self.dest: PostCopyDestination | None = None
-        self.dest_written: set[int] = set()
+        #: Destination-written VPN batches (post-copy guest progress).
+        self.dest_written: list[np.ndarray] = []
         self._listener = None
 
 
@@ -396,7 +399,8 @@ class MigrationOrchestrator:
         return shell
 
     def _source_contents(self, st: _MigrationState) -> tuple[np.ndarray, np.ndarray]:
-        """(vpns, tokens) of the paused source's present workload pages."""
+        """(vpns, tokens) of the paused source's present workload pages,
+        VPNs ascending."""
         vpns = st.src_proc.space.mapped_vpns()
         vpns = vpns[st.src_proc.space.pt.present_mask(vpns)]
         tokens = st.src_vm.mmu.read_page_contents(st.src_proc.space.pt, vpns)
@@ -414,8 +418,7 @@ class MigrationOrchestrator:
         # Pre-copy completed (stop-and-copy already charged): materialise
         # the destination from the paused source's state.
         st.src_kernel.stop_process(st.src_proc)
-        vpns, tokens = self._source_contents(st)
-        st.final_tokens = {int(v): int(t) for v, t in zip(vpns, tokens)}
+        vpns, tokens = st.final_vpns, st.final_tokens = self._source_contents(st)
         _vm, kernel, proc = self._dest_shell(st)
         kernel.access(proc, vpns, True)
         kernel.vm.mmu.write_page_contents(proc.space.pt, vpns, tokens)
@@ -430,8 +433,7 @@ class MigrationOrchestrator:
         params = self.transport.costs.params
         clock.charge(params.postcopy_state_us, World.HYPERVISOR, EV_POSTCOPY_SWITCH)
         st.src_kernel.stop_process(st.src_proc)
-        vpns, tokens = self._source_contents(st)
-        st.final_tokens = {int(v): int(t) for v, t in zip(vpns, tokens)}
+        vpns, tokens = st.final_vpns, st.final_tokens = self._source_contents(st)
         remaining = np.asarray(
             st.report.precopy.remaining_pages, dtype=np.int64
         )
@@ -444,13 +446,14 @@ class MigrationOrchestrator:
             self.transport,
             st.flow,
             missing,
-            st.final_tokens,
+            vpns,
+            tokens,
             push_batch_pages=self.policy.post_copy_push_batch,
         )
 
         def listener(process, result) -> None:
             if process is proc and result.newly_pte_dirty.size:
-                st.dest_written.update(int(v) for v in result.newly_pte_dirty)
+                st.dest_written.append(result.newly_pte_dirty)
 
         st._listener = listener
         kernel.add_access_listener(listener)
@@ -471,16 +474,13 @@ class MigrationOrchestrator:
     def _verify_integrity(self, st: _MigrationState) -> bool:
         """Destination memory equals the paused source, except pages the
         destination guest wrote after switchover (its own progress)."""
-        vpns = np.array(sorted(st.final_tokens), dtype=np.int64)
+        vpns, want = st.final_vpns, st.final_tokens
         if vpns.size == 0:
             return True
         fvm = st.fvm
         got = fvm.kernel.vm.mmu.read_page_contents(fvm.proc.space.pt, vpns)
-        want = np.array(
-            [st.final_tokens[int(v)] for v in vpns], dtype=np.uint64
-        )
         if st.dest_written:
-            keep = ~np.isin(vpns, np.array(sorted(st.dest_written)))
+            keep = ~np.isin(vpns, np.concatenate(st.dest_written))
             got, want = got[keep], want[keep]
         return bool(np.array_equal(got, want))
 

@@ -30,6 +30,7 @@ from repro.core.costs import EV_MIGRATION_SEND, EV_NET_PAGE_PULL
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.guest.uffd import UfdMode, UserFaultFd
+from repro.hw.pageset import page_bitmap
 from repro.hw.pagetable import PTE_DIRTY
 from repro.net.transport import Flow, Transport
 from repro.obs import trace as otr
@@ -58,31 +59,36 @@ class PostCopyDestination:
         transport: Transport,
         flow: Flow,
         missing_vpns: np.ndarray,
-        final_tokens: dict[int, int],
+        final_vpns: np.ndarray,
+        final_tokens: np.ndarray,
         push_batch_pages: int = 256,
     ) -> None:
         self.kernel = kernel
         self.proc = proc
         self.transport = transport
         self.flow = flow
-        self.final_tokens = final_tokens
         self.push_batch_pages = push_batch_pages
-        self.on_wire: set[int] = {int(v) for v in missing_vpns}
-        self.report = PostCopyReport(missing_pages=len(self.on_wire))
+        # Page state over the address space: the paused source image as a
+        # VPN-indexed token array plus a "has token" bitmap, and the pages
+        # still on the wire as a bitmap.
+        n = proc.space.pt.n_pages
+        self._has_token = page_bitmap(final_vpns, n)
+        self._tokens = np.zeros(n, dtype=np.uint64)
+        self._tokens[final_vpns] = final_tokens
+        self.on_wire = page_bitmap(missing_vpns, n)
+        self.report = PostCopyReport(
+            missing_pages=int(np.count_nonzero(self.on_wire))
+        )
 
         # Pages pre-copy already transferred are resident before the guest
         # resumes: materialise them and overlay the source's tokens (their
         # transfer time was charged round by round during pre-copy).
-        resident = np.array(
-            sorted(v for v in final_tokens if v not in self.on_wire),
-            dtype=np.int64,
-        )
+        resident = final_vpns[~self.on_wire[final_vpns]]
         if resident.size:
             kernel.access(proc, resident, True)
-            tokens = np.array(
-                [final_tokens[int(v)] for v in resident], dtype=np.uint64
+            kernel.vm.mmu.write_page_contents(
+                proc.space.pt, resident, self._tokens[resident]
             )
-            kernel.vm.mmu.write_page_contents(proc.space.pt, resident, tokens)
             # The materialisation pass is not guest progress: clear the PTE
             # dirty bits so the first *real* destination write to each page
             # surfaces in ``newly_pte_dirty`` (the integrity exclusion set).
@@ -100,43 +106,38 @@ class PostCopyDestination:
     def _resolve(self, vpns: np.ndarray) -> None:
         """Install transferred contents for freshly-resolved pages; pages
         still on the wire are pulled over the network first."""
-        pulls = [int(v) for v in vpns if int(v) in self.on_wire]
-        if pulls:
-            self.on_wire.difference_update(pulls)
+        pulls = vpns[self.on_wire[vpns]]
+        n_pull = int(pulls.size)
+        if n_pull:
+            self.on_wire[pulls] = False
             self.report.pull_faults += 1
-            self.report.pulled_pages += len(pulls)
+            self.report.pulled_pages += n_pull
             self.transport.send(
-                self.flow, len(pulls), world=World.TRACKED,
+                self.flow, n_pull, world=World.TRACKED,
                 event=EV_NET_PAGE_PULL,
             )
             if otr.ACTIVE is not None:
                 otr.ACTIVE.emit(
                     EventKind.POSTCOPY_PULL,
                     flow=self.flow.flow_id,
-                    n_pages=len(pulls),
+                    n_pages=n_pull,
                 )
-                otr.ACTIVE.metrics.inc("postcopy.pulled_pages", len(pulls))
-        have = [int(v) for v in vpns if int(v) in self.final_tokens]
-        if have:
-            arr = np.array(have, dtype=np.int64)
-            tokens = np.array(
-                [self.final_tokens[v] for v in have], dtype=np.uint64
-            )
+                otr.ACTIVE.metrics.inc("postcopy.pulled_pages", n_pull)
+        have = vpns[self._has_token[vpns]]
+        if have.size:
             self.kernel.vm.mmu.write_page_contents(
-                self.proc.space.pt, arr, tokens
+                self.proc.space.pt, have, self._tokens[have]
             )
 
     def push_step(self) -> int:
-        """Background-push one batch of still-missing pages; returns how
-        many pages moved."""
-        if not self.on_wire:
+        """Background-push one batch of still-missing pages (ascending
+        VPN); returns how many pages moved."""
+        batch = np.flatnonzero(self.on_wire)[: self.push_batch_pages]
+        if batch.size == 0:
             return 0
-        batch = np.array(
-            sorted(self.on_wire)[: self.push_batch_pages], dtype=np.int64
-        )
         # Leave the wire *before* the access: the push pays the transfer,
         # and the miss-fault hook must not double-charge it as a pull.
-        self.on_wire.difference_update(int(v) for v in batch)
+        self.on_wire[batch] = False
         self.transport.send(
             self.flow, int(batch.size), world=World.HYPERVISOR,
             event=EV_MIGRATION_SEND,

@@ -41,7 +41,8 @@ class Ept:
 
     def _check(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         arr = np.asarray(gpfns, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_guest_frames):
+        # Negative GPFNs viewed as uint64 exceed the range: one reduction.
+        if arr.size and arr.view(np.uint64).max() >= self.n_guest_frames:
             raise InvalidAddressError("GPFN out of guest physical range")
         return arr
 

@@ -79,7 +79,9 @@ class PageTable:
     # ------------------------------------------------------------------
     def _check_vpns(self, vpns: np.ndarray) -> np.ndarray:
         arr = np.asarray(vpns, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_pages):
+        # One reduction checks both ends: a negative VPN viewed as uint64
+        # exceeds any address-space size.
+        if arr.size and arr.view(np.uint64).max() >= self.n_pages:
             raise InvalidAddressError("VPN out of address space")
         return arr
 

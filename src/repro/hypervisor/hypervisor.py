@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError, HypercallError
 from repro.hw import vmcs as vmcsf
 from repro.hw.cpu import ExitReason, Vcpu
 from repro.hw.memory import PhysicalMemory
+from repro.hw.pageset import unique_pages
 from repro.hypervisor import hypercalls as hc
 from repro.hypervisor.vm import Vm
 
@@ -160,10 +161,10 @@ class Hypervisor:
         for vc in vm.vcpus:
             residual = vc.pml.drain_hyp()
             self._deliver_gpas(vm, residual, source=vc.vcpu_id)
-        dirty = np.unique(vm.drain_hyp_dirty_log())
+        dirty = unique_pages(vm.drain_hyp_dirty_log(), vm.ept.n_guest_frames)
         if dirty.size:
-            vm.ept.clear_dirty(dirty.astype(np.int64))
-        return dirty
+            vm.ept.clear_dirty(dirty)
+        return dirty.astype(np.uint64)
 
     # ------------------------------------------------------------------
     # OoH hypercalls

@@ -71,7 +71,7 @@ def test_refault_restores_exact_content():
     after = fvm.vm.mmu.read_page_contents(pt, vpns)
     assert np.array_equal(before, after)
     assert driver.ballooned_pages == 0
-    assert not driver._swap
+    assert driver.swapped_pages == 0
     assert driver.refault_pages == 200
 
 
@@ -159,7 +159,7 @@ def test_deflate_all_restores_everything_exactly():
     driver.inflate(300)
     assert driver.deflate_all() == 300
     assert driver.ballooned_pages == 0
-    assert not driver._swap
+    assert driver.swapped_pages == 0
     assert bool(pt.present_mask(vpns).all())
     after = fvm.vm.mmu.read_page_contents(pt, vpns)
     assert np.array_equal(before, after)
@@ -199,3 +199,92 @@ def test_migrating_a_ballooned_vm_carries_swapped_pages():
     # Fresh, empty balloon on the destination; the source driver is gone.
     assert hosts[1].economics.drivers[fvm.name].ballooned_pages == 0
     assert fvm.name not in hosts[0].economics.drivers
+
+
+def test_round_trip_restores_tokens_and_keeps_held_frames_lifo():
+    """Inflate, refault a mixed read/write subset, deflate the rest: every
+    reclaimed page gets back exactly its pre-reclaim token, the refault
+    deflates the most recently held frames first, and no page stays in
+    flight."""
+    from repro.hypervisor.hypercalls import HC_OOH_BALLOON_DEFLATE
+
+    host = make_host()
+    fvm = host.place(spec())
+    driver = host.economics.drivers[fvm.name]
+    pt, mmu = fvm.proc.space.pt, fvm.vm.mmu
+    vpns = np.arange(512, dtype=np.int64)
+    before = mmu.read_page_contents(pt, vpns).copy()
+
+    installed: dict[int, int] = {}
+    real_write = mmu.write_page_contents
+
+    def write(table, v, tokens):
+        for page, tok in zip(v.tolist(), tokens.tolist()):
+            assert page not in installed  # each page reinstalled once
+            installed[page] = tok
+        return real_write(table, v, tokens)
+
+    deflated: list[list[int]] = []
+    real_hypercall = fvm.vm.vcpu.hypercall
+
+    def hypercall(nr, *args):
+        if nr == HC_OOH_BALLOON_DEFLATE:
+            deflated.append(np.asarray(args[0]).tolist())
+        return real_hypercall(nr, *args)
+
+    mmu.write_page_contents = write
+    fvm.vm.vcpu.hypercall = hypercall
+
+    assert driver.inflate(120) == 120
+    assert driver.inflate(80) == 80
+    held = list(driver._held_gpfns)
+    assert len(held) == 200 and all(type(g) is int for g in held)
+    reclaimed = vpns[~pt.present_mask(vpns)]
+    assert reclaimed.size == driver.swapped_pages == 200
+
+    # Refault 50 pages, every other one written.
+    sub = reclaimed[::4]
+    wmask = np.arange(sub.size) % 2 == 0
+    fvm.kernel.access(fvm.proc, sub, wmask)
+    assert deflated == [held[-sub.size:]]  # LIFO: newest held frames first
+    assert driver._held_gpfns == held[: -sub.size]
+    assert not driver._inflight.any()
+    assert driver.swapped_pages == 200 - sub.size
+
+    assert driver.deflate_all() == 200 - sub.size
+    assert deflated[1] == held[: -sub.size]
+    assert driver.swapped_pages == 0 and driver.ballooned_pages == 0
+
+    assert sorted(installed) == reclaimed.tolist()
+    assert all(installed[int(v)] == int(before[v]) for v in reclaimed)
+    after = mmu.read_page_contents(pt, vpns)
+    written = sub[wmask]
+    keep = ~np.isin(vpns, written)
+    assert np.array_equal(after[keep], before[keep])
+    # The triggering writes landed on top of the reinstalled tokens.
+    assert not np.any(after[written] == before[written])
+
+
+def test_refault_clears_in_flight_when_reclaim_fails(monkeypatch):
+    """A refault whose host-frame reclaim raises leaves no page in
+    flight: the next reclaim may take any of them again."""
+    from repro.errors import OutOfFramesError
+
+    host = make_host()
+    fvm = host.place(spec())
+    driver = host.economics.drivers[fvm.name]
+    pt = fvm.proc.space.pt
+    driver.inflate(40)
+    reclaimed = np.flatnonzero(~pt.present_mask(np.arange(512)))
+
+    seen = []
+
+    def no_frames(n_pages, requester=None):
+        seen.append(bool(driver._inflight[reclaimed[:10]].all()))
+        raise OutOfFramesError("forced")
+
+    monkeypatch.setattr(driver.economics, "ensure_free", no_frames)
+    with pytest.raises(OutOfFramesError):
+        fvm.kernel.access(fvm.proc, reclaimed[:10], True)
+    assert seen == [True]  # the batch was in flight while resolving
+    assert not driver._inflight.any()

@@ -116,3 +116,41 @@ def test_touch_scalar_true_logs_repeated_gpfn_once():
     ept.map([2, 5], [12, 15])
     newly = ept.touch(np.array([5, 2, 5, 2, 5]), True)
     assert newly.tolist() == [2, 5]
+
+
+#: Every public GPFN-taking entry; each gets a fully mapped EPT.
+_EPT_ENTRIES = {
+    "map": lambda ept, g: ept.map(g, [1] * len(g)),
+    "translate": lambda ept, g: ept.translate(g),
+    "touch": lambda ept, g: ept.touch(g, True),
+    "unmap": lambda ept, g: ept.unmap(g),
+    "clear_accessed": lambda ept, g: ept.clear_accessed(g),
+    "clear_dirty": lambda ept, g: ept.clear_dirty(g),
+    "accessed_mask": lambda ept, g: ept.accessed_mask(g),
+}
+_N = 16
+
+
+def _mapped_ept() -> Ept:
+    ept = Ept(_N)
+    ept.map(np.arange(_N), np.arange(_N) + 100)
+    return ept
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
+@pytest.mark.parametrize("gpfn", [-1, _N, 2**63 - 1])
+@pytest.mark.parametrize("entry", sorted(_EPT_ENTRIES))
+def test_public_entries_reject_out_of_range_gpfns(entry, gpfn, as_list):
+    """Both ends of the range fail at every public entry, negatives
+    included, whatever the container."""
+    gpfns = [0, gpfn] if as_list else np.array([0, gpfn], dtype=np.int64)
+    with pytest.raises(InvalidAddressError):
+        _EPT_ENTRIES[entry](_mapped_ept(), gpfns)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
+@pytest.mark.parametrize("gpfn", [0, _N - 1])
+@pytest.mark.parametrize("entry", sorted(_EPT_ENTRIES))
+def test_public_entries_accept_range_ends(entry, gpfn, as_list):
+    gpfns = [gpfn] if as_list else np.array([gpfn], dtype=np.int64)
+    _EPT_ENTRIES[entry](_mapped_ept(), gpfns)

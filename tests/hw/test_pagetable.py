@@ -110,3 +110,41 @@ def test_property_reverse_lookup_inverts_translate(vpns):
     pt.map(vp, gp)
     back = pt.reverse_lookup(pt.translate(vp))
     assert np.array_equal(back, vp)
+
+
+#: Every public VPN-taking entry; each gets a fully mapped table.
+_PT_ENTRIES = {
+    "map": lambda pt, v: pt.map(v, [1] * len(v)),
+    "unmap": lambda pt, v: pt.unmap(v),
+    "present_mask": lambda pt, v: pt.present_mask(v),
+    "flag_mask": lambda pt, v: pt.flag_mask(v, PTE_DIRTY),
+    "set_flags": lambda pt, v: pt.set_flags(v, PTE_DIRTY),
+    "clear_flags": lambda pt, v: pt.clear_flags(v, PTE_DIRTY),
+    "translate": lambda pt, v: pt.translate(v),
+}
+_N = 16
+
+
+def _mapped_table() -> PageTable:
+    pt = PageTable(_N)
+    pt.map(np.arange(_N), np.arange(_N) + 100)
+    return pt
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
+@pytest.mark.parametrize("vpn", [-1, _N, 2**63 - 1])
+@pytest.mark.parametrize("entry", sorted(_PT_ENTRIES))
+def test_public_entries_reject_out_of_range_vpns(entry, vpn, as_list):
+    """Both ends of the range fail at every public entry, negatives
+    included, whatever the container."""
+    vpns = [0, vpn] if as_list else np.array([0, vpn], dtype=np.int64)
+    with pytest.raises(InvalidAddressError):
+        _PT_ENTRIES[entry](_mapped_table(), vpns)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
+@pytest.mark.parametrize("vpn", [0, _N - 1])
+@pytest.mark.parametrize("entry", sorted(_PT_ENTRIES))
+def test_public_entries_accept_range_ends(entry, vpn, as_list):
+    vpns = [vpn] if as_list else np.array([vpn], dtype=np.int64)
+    _PT_ENTRIES[entry](_mapped_table(), vpns)

@@ -147,3 +147,30 @@ def test_harvest_vm_dirty_unique_and_rearmed(stack):
     dirty = stack.hv.harvest_vm_dirty(vm)
     assert set(int(x) for x in dirty) == {7, 8}
     assert vm.ept.dirty_gpfns().size == 0
+
+
+def test_harvest_vm_dirty_contract_across_vcpus():
+    """The harvest is ``np.unique`` of everything logged on every vCPU
+    (full-buffer deliveries and residual buffers alike), as uint64; only
+    those GPFNs lose their EPT dirty bit."""
+    hv = Hypervisor(SimClock(), CostModel(), host_mem_mb=64)
+    vm = hv.create_vm("smp", mem_mb=8, pml_buffer_entries=4, n_vcpus=2)
+    hv.enable_vm_dirty_logging(vm)
+    logs = [
+        np.array([900, 3, 3, 41, 900, 7, 2047], dtype=np.uint64),
+        np.array([41, 5, 5, 0, 3], dtype=np.uint64),
+    ]
+    unlogged = np.array([11, 12, 1500])
+    vm.ept.touch(np.concatenate([*logs, unlogged]).astype(np.int64), True)
+    for vc, log in zip(vm.vcpus, logs):
+        vc.pml.log_gpas(log)
+
+    dirty = hv.harvest_vm_dirty(vm)
+
+    assert dirty.dtype == np.uint64
+    assert np.array_equal(dirty, np.unique(np.concatenate(logs)))
+    assert np.array_equal(vm.ept.dirty_gpfns(), unlogged)
+    # Nothing logged since: an empty uint64 harvest that clears nothing.
+    empty = hv.harvest_vm_dirty(vm)
+    assert empty.dtype == np.uint64 and empty.size == 0
+    assert np.array_equal(vm.ept.dirty_gpfns(), unlogged)
