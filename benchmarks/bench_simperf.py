@@ -1,17 +1,18 @@
-"""Simulator performance: fused MMU walk, reverse-map index, runner engine.
+"""Simulator performance: MMU walk, reverse-map index, runner engine.
 
 Unlike the other benches (which regenerate paper artifacts), this file
 measures the *simulator's own* wall-clock — the three-layer performance
 pass that keeps the full non-quick sweep tractable:
 
-* ``Mmu.access`` batch throughput, fused walk + TLB fast path vs the
-  multipass reference (target: >= 2x on a 1M-access workload);
+* ``Mmu.access`` batch throughput, production walk + TLB fast path vs
+  the multipass reference walk :class:`repro.emu.RefMmu` (target: >= 2x
+  on a 1M-access workload);
 * ``PageTable.reverse_lookup`` with the cached GPFN->VPN index vs a
   cold index per lookup;
-* ``runner all --quick`` end to end, optimized (fused + memo-cache +
-  ``--jobs 4``) vs the pre-optimization configuration
-  (``REPRO_FUSED_MMU=0 REPRO_EXPERIMENT_CACHE=0``, serial);
-* the observability tax: the same fused hot loop with an active
+* ``runner all --quick`` end to end, optimized (memo-cache +
+  ``--jobs 4``) vs the serial run without the experiment memo-cache
+  (``REPRO_EXPERIMENT_CACHE=0``);
+* the observability tax: the same hot loop with an active
   ``TraceSession`` vs the guard-only disabled path.
 
 Simulated costs and results are bit-identical across all configurations
@@ -29,6 +30,7 @@ import time
 import numpy as np
 from conftest import QUICK
 
+from repro.emu import RefMmu
 from repro.hw import vmcs
 from repro.hw.ept import Ept
 from repro.obs import trace as otr
@@ -67,21 +69,26 @@ class _Handlers:
 
 
 def _drive(
-    fused: bool,
+    production: bool,
     walk_cache: bool = False,
     warm_rounds: int = 0,
     target: int | None = None,
 ) -> float:
     """Seconds to push ``target`` accesses through Mmu.access,
     microbench-style (sorted 16K-page write batches over a pre-faulted
-    working set).  ``walk_cache`` defaults off so the fused-vs-multipass
-    comparison keeps measuring the walks themselves; the steady-state
-    bench turns it on and uses ``warm_rounds`` to reach replay before
-    the clock starts."""
+    working set), on the production :class:`Mmu` or (``production``
+    false) the :class:`RefMmu` reference walk.  ``walk_cache`` defaults
+    off so the production-vs-reference comparison keeps measuring the
+    walks themselves; the steady-state bench turns it on and uses
+    ``warm_rounds`` to reach replay before the clock starts."""
     host = PhysicalMemory(N_PAGES + 64)
     ept = Ept(N_PAGES + 64)
     pml = PmlCircuit(vmcs.Vmcs(), capacity=512)
-    mmu = Mmu(ept, host, pml, fused=fused, walk_cache=walk_cache)
+    mmu = (
+        Mmu(ept, host, pml, walk_cache=walk_cache)
+        if production
+        else RefMmu(ept, host, pml)
+    )
     pt = PageTable(N_PAGES)
     tlb = Tlb(N_PAGES)
     h = _Handlers(pt, ept, host)
@@ -351,14 +358,12 @@ def _runner_wallclock(extra_args: list[str], env_overrides: dict) -> float:
 
 
 def test_runner_all_quick_wallclock(benchmark):
-    """End-to-end: optimized `runner all --quick --jobs 4` vs the
-    pre-optimization configuration (multipass walk, no memo-cache)."""
+    """End-to-end: optimized `runner all --quick --jobs 4` vs the serial
+    run with no experiment memo-cache."""
     opt_s = benchmark.pedantic(
         _runner_wallclock, args=(["--jobs", "4"], {}), rounds=1, iterations=1
     )
-    base_s = _runner_wallclock(
-        [], {"REPRO_FUSED_MMU": "0", "REPRO_EXPERIMENT_CACHE": "0"}
-    )
+    base_s = _runner_wallclock([], {"REPRO_EXPERIMENT_CACHE": "0"})
     speedup = base_s / opt_s
     benchmark.extra_info.update(opt_s=opt_s, baseline_s=base_s, speedup=speedup)
     print(f"\nrunner all --quick: optimized --jobs 4 {opt_s:.2f}s, "

@@ -13,23 +13,20 @@ Fault *semantics and costs* belong to the guest kernel (the handlers
 object); the MMU only detects, routes, and counts.  This mirrors hardware:
 the MMU raises #PF / EPT violations, software decides what they mean.
 
-Two walk implementations produce bit-identical outcomes:
+There is one walk.  It normalises each batch once to a page set: a
+sorted-distinct batch is its own set, any other is reduced to its sorted
+distinct pages plus a per-page "any write" flag (every walk outcome
+depends on nothing else).  Steps 1-5 run on that set, and a scalar write
+mask stays a plain ``bool`` throughout.  A sorted-distinct batch is first
+offered to the **TLB fast path**: if its pages are all TLB-cached,
+present, writable, and already PTE+EPT dirty, it cannot fault and cannot
+produce a 0->1 dirty transition (so nothing can be logged), exactly as a
+real TLB hit on a dirty writable translation skips the walk circuit.
+The original five-pass walk is the test oracle
+:class:`repro.emu.RefMmu`; the differential and golden-trace suites pit
+the two against each other.
 
-* the **fused** walk (default) normalises each batch once to a page
-  set: a sorted-distinct batch is its own set, any other is reduced to
-  its sorted distinct pages plus a per-page "any write" flag (every walk
-  outcome depends on nothing else).  Steps 1-5 run on that set, and a
-  scalar write mask stays a plain ``bool`` throughout.  A sorted-distinct
-  batch is first offered to the **TLB fast path**: if its pages are all
-  TLB-cached, present, writable, and already PTE+EPT dirty, it cannot
-  fault and cannot produce a 0->1 dirty transition (so nothing can be
-  logged), exactly as a real TLB hit on a dirty writable translation
-  skips the walk circuit;
-* the **multipass** walk is the original five-pass reference, kept behind
-  ``fused=False`` (or ``REPRO_FUSED_MMU=0``) so differential tests can
-  pit the two against each other.
-
-On top of the fused walk sits the **walk cache** (``REPRO_WALK_CACHE=0``
+On top of the walk sits the **walk cache** (``REPRO_WALK_CACHE=0``
 opts out): the memoized steady-state replay layer.  Every structure a
 fast-path decision reads carries a cheap *generation counter* —
 :attr:`PageTable.generation` (any mapping/flag mutation),
@@ -78,11 +75,6 @@ from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
 __all__ = ["FaultHandlers", "MmuResult", "Mmu"]
-
-
-def _fused_default() -> bool:
-    """Process-wide default for the fused walk (REPRO_FUSED_MMU=0 opts out)."""
-    return os.environ.get("REPRO_FUSED_MMU", "1") not in ("0", "false", "no")
 
 
 def _walk_cache_default() -> bool:
@@ -169,15 +161,11 @@ class Mmu:
         ept: Ept,
         host_mem: PhysicalMemory,
         pml: PmlCircuit,
-        fused: bool | None = None,
         walk_cache: bool | None = None,
     ) -> None:
         self.ept = ept
         self.host_mem = host_mem
         self.pml = pml
-        #: True selects the fused walk + TLB fast path; False the original
-        #: multipass walk (differential-test reference).
-        self.fused = _fused_default() if fused is None else fused
         #: Memoized fast-path batches, keyed on (pt.uid, tlb.uid, batch
         #: shape, write-mask kind); entries hold the three generation
         #: counters captured at memoization time plus the exact batch
@@ -236,10 +224,11 @@ class Mmu:
         if v.size == 0:
             return res
         if otr.ACTIVE is not None and n_writes:
-            # Emitted before dispatch so fast-path, replay, fused and
-            # multipass batches trace identically; the written-VPN set is
-            # the ground truth the trace-invariant tests check collects
-            # against (dirty reported ⊆ pages with a preceding write).
+            # Emitted before the walk step so fast-path, replay, walked
+            # and RefMmu batches trace identically; the written-VPN set
+            # is the ground truth the trace-invariant tests check
+            # collects against (dirty reported ⊆ pages with a preceding
+            # write).
             s = otr.ACTIVE
             fields = {
                 "n_writes": res.n_writes,
@@ -252,16 +241,20 @@ class Mmu:
             s.emit(EventKind.WRITE, **fields)
             s.metrics.inc("mmu.write_batches")
             s.metrics.inc("mmu.writes", res.n_writes)
-        if not self.fused:
-            w_full = np.full(v.shape, wbool) if w is None else w
-            return self._access_multipass(pt, tlb, v, w_full, handlers, res, pml)
+        return self._resolve(pt, tlb, v, w, wbool, handlers, res, pml)
+
+    def _resolve(self, pt: PageTable, tlb: Tlb, v, w, wbool, handlers, res, pml):
+        """The walk step of :meth:`access` for a checked, non-empty batch:
+        replay, else the TLB fast path, else the walk.  ``w`` is the
+        per-access write mask, or ``None`` for the scalar mask ``wbool``.
+        """
         cache = self._cache
         key = None
         if cache is not None:
             # Cheap discriminator first; exactness is verified against the
             # stored arrays below (hashing the batch content would cost
             # more than the replay itself).
-            wk = wbool if w is None else ("m", n_writes)
+            wk = wbool if w is None else ("m", res.n_writes)
             key = (pt.uid, tlb.uid, int(v[0]), int(v[-1]), int(v.size), wk)
             ent = cache.get(key)
             if ent is not None:
@@ -305,7 +298,7 @@ class Mmu:
             pages = unique_pages(v, pt.n_pages)
             if w is not None:
                 m = pages_in(pages, v[w], pt.n_pages)
-            return self._access_fused(pt, tlb, pages, m, handlers, res, pml)
+            return self._walk(pt, tlb, pages, m, handlers, res, pml)
         h = self._try_fast_path(pt, tlb, v, m)
         if h is not None:
             self.n_fast_batches += 1
@@ -326,7 +319,7 @@ class Mmu:
                     _as_run(h),
                 )
             return res
-        return self._access_fused(pt, tlb, v, m, handlers, res, pml)
+        return self._walk(pt, tlb, v, m, handlers, res, pml)
 
     # ------------------------------------------------------------------
     # TLB fast path
@@ -373,9 +366,9 @@ class Mmu:
         return h
 
     # ------------------------------------------------------------------
-    # fused walk (default)
+    # the walk
     # ------------------------------------------------------------------
-    def _access_fused(
+    def _walk(
         self,
         pt: PageTable,
         tlb: Tlb,
@@ -450,74 +443,6 @@ class Mmu:
         return res
 
     # ------------------------------------------------------------------
-    # original multipass walk (reference; fused=False)
-    # ------------------------------------------------------------------
-    def _access_multipass(
-        self,
-        pt: PageTable,
-        tlb: Tlb,
-        v,
-        w,
-        handlers: FaultHandlers,
-        res: MmuResult,
-        pml: PmlCircuit,
-    ) -> MmuResult:
-        # -- 1. missing pages -------------------------------------------
-        present = pt.present_mask(v)
-        if not present.all():
-            missing, inv_m = np.unique(v[~present], return_inverse=True)
-            missing_w = np.zeros(missing.shape, dtype=bool)
-            np.logical_or.at(missing_w, inv_m, w[~present])
-            handled_by_ufd = handlers.handle_ufd_miss_fault(missing, missing_w)
-            res.n_ufd_faults += int(len(handled_by_ufd))
-            still = ~np.isin(missing, handled_by_ufd)
-            if still.any():
-                handlers.handle_minor_fault(missing[still], missing_w[still])
-                res.n_minor_faults += int(still.sum())
-            present = pt.present_mask(v)
-            if not present.all():
-                raise ProtectionFault("fault handler left pages unmapped")
-
-        # -- 2. write-protection faults ----------------------------------
-        if w.any():
-            wv = v[w]
-            writable = pt.flag_mask(wv, PTE_WRITABLE)
-            if not writable.all():
-                faulting = np.unique(wv[~writable])
-                ufd_mask = pt.flag_mask(faulting, PTE_UFD_WP)
-                res.n_ufd_faults += int(ufd_mask.sum())
-                res.n_wp_faults += int((~ufd_mask).sum())
-                handlers.handle_wp_fault(faulting, ufd_mask)
-                if not pt.flag_mask(wv, PTE_WRITABLE).all():
-                    raise ProtectionFault("WP fault handler left pages read-only")
-
-        # -- 3. PTE accessed/dirty bits ----------------------------------
-        pt.set_flags(v, PTE_ACCESSED)
-        if w.any():
-            wv_unique = np.unique(v[w])
-            was_clean = ~pt.flag_mask(wv_unique, PTE_DIRTY)
-            res.newly_pte_dirty = wv_unique[was_clean]
-            pt.set_flags(wv_unique, PTE_DIRTY)
-            # EPML guest-level logging: GVAs whose PTE dirty bit was set.
-            pml.log_gvas(res.newly_pte_dirty)
-
-        # -- 4. EPT accessed/dirty bits ----------------------------------
-        uniq_v, inv = np.unique(v, return_inverse=True)
-        uniq_w = np.zeros(uniq_v.shape, dtype=bool)
-        np.logical_or.at(uniq_w, inv, w)
-        gpfns = pt.translate(uniq_v)
-        res.newly_ept_dirty = self.ept.touch(gpfns, uniq_w)
-        # Hypervisor-level PML logging: GPAs whose EPT dirty bit was set.
-        pml.log_gpas(res.newly_ept_dirty)
-
-        # -- 5. content mutation + TLB -----------------------------------
-        if uniq_w.any():
-            hpfns = self.ept.translate(gpfns[uniq_w])
-            self.host_mem.write(hpfns)
-        tlb.fill(uniq_v)
-        return res
-
-    # ------------------------------------------------------------------
     # plan-segment execution (walk cache, level 2)
     # ------------------------------------------------------------------
     def access_segment(
@@ -541,15 +466,14 @@ class Mmu:
         frozen copies), so ``seg.uid`` fully identifies the batch content.
 
         Not applicable (falls back to the per-batch loop) for transient
-        segments (``seg.uid is None``), multipass mode, a disabled walk
-        cache, or detailed tracing (which wants per-batch written-VPN
+        segments (``seg.uid is None``), a disabled walk cache, or
+        detailed tracing (which wants per-batch written-VPN
         lists the memoized stats don't keep).
         """
         if pml is None:
             pml = self.pml
         cacheable = (
             self._cache is not None
-            and self.fused
             and seg.uid is not None
             and not (otr.ACTIVE is not None and otr.ACTIVE.detail)
         )

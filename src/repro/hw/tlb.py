@@ -7,7 +7,7 @@ escape tracking — the real-Linux bug class the flush exists to prevent).
 We model a per-address-space set of cached VPNs so tests can assert the
 flush discipline, and we count flushes so the cost model can charge them.
 
-The MMU's fused fast path (:meth:`repro.hw.mmu.Mmu.access`) consults
+The MMU's TLB fast path (:meth:`repro.hw.mmu.Mmu.access`) consults
 :meth:`cached_all` before skipping the page walk, so every code path that
 downgrades a cached translation (``clear_refs`` write-protection, ufd
 write-protect arming, EPML/oracle dirty-bit re-arming, heap unmaps,
@@ -65,7 +65,7 @@ class Tlb:
     def cached_all(self, vpns: np.ndarray) -> bool:
         """True when every VPN has a cached translation.
 
-        Hot-path helper for the MMU's fused fast path: no defensive copy,
+        Hot-path helper for the MMU's TLB fast path: no defensive copy,
         no bounds check (the MMU validates the batch first).
         """
         return bool(self._cached[vpns].all())

@@ -10,7 +10,7 @@ provides the faabric-style facade and workload driver:
   last-writer-wins merge, re-snapshot lifecycle;
 * :mod:`~repro.serverless.tracker` — :class:`UnifiedDirtyTracker`: one
   mode-selected facade over every registered tracking technique, with
-  per-vCPU thread-local contexts and copy-on-write region mapping;
+  copy-on-write region mapping and byte-exact diff extraction;
 * :mod:`~repro.serverless.instance` — :class:`FunctionInstance`: the
   restore → execute → diff → exit lifecycle of one invocation;
 * :mod:`~repro.serverless.driver` — seeded bursty multi-tenant traffic

@@ -103,7 +103,7 @@ class FunctionInstance:
         kernel.access(proc, np.arange(n_pages, dtype=np.int64), False)
         facade = UnifiedDirtyTracker(kernel, proc, self.mode, **self.tracker_kwargs)
         region = facade.map_regions(self.snapshot)
-        facade.start_tracking()
+        facade.start()
         try:
             kernel.access_plan(proc, self.plan)
             if self.write_vpns.size:
@@ -114,6 +114,6 @@ class FunctionInstance:
                 )
             diff = facade.extract_diff(region, self.instance_id, commit_seq)
         finally:
-            facade.stop_tracking()
+            facade.stop()
             kernel.exit_process(proc)
         return diff

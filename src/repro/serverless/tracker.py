@@ -1,20 +1,18 @@
 """faabric-style unified dirty tracker: one facade, every technique.
 
 Faabric's ``DirtyTracker`` selects an implementation by a mode string and
-exposes one API to the scheduler: global start/stop/get, per-thread
-tracking contexts, copy-on-write snapshot mapping, and dirty-region
-extraction.  :class:`UnifiedDirtyTracker` is that facade over this
-repo's :class:`~repro.core.tracking.DirtyPageTracker` registry:
+exposes one small API to the scheduler: start/stop/get dirty pages,
+copy-on-write snapshot mapping, and dirty-region extraction.
+:class:`UnifiedDirtyTracker` is that facade over this repo's
+:class:`~repro.core.tracking.DirtyPageTracker` registry:
 
 * **mode selection** — any string from
   :func:`repro.core.tracking.available_modes` (oracle/spml/epml/proc/
-  ufd/fallback); the facade is a *pure passthrough* to the technique for
-  start/collect/stop, so its dirty sets are bit-identical to driving the
-  technique directly (the differential tests pin this);
-* **thread-local contexts** — per-vCPU dirty bitmaps fed by the guest
-  kernel's zero-cost access-listener seam (the oracle's mechanism):
-  faabric's ``startThreadLocalTracking`` maps to a vCPU here because the
-  simulator's unit of concurrent execution is the vCPU;
+  ufd/fallback); ``start``/``collect``/``stop`` are a *pure passthrough*
+  to the technique, so the facade's dirty sets are bit-identical to
+  driving the technique directly (the differential tests pin this), and
+  :attr:`UnifiedDirtyTracker.tracker` exposes the technique itself to
+  audit layers;
 * **snapshot mapping** — :meth:`map_regions` lays a
   :class:`~repro.serverless.snapshot.Snapshot`'s contents over a mapped
   VMA as a CoW restore: page-table bookkeeping cost, no copy, and —
@@ -35,8 +33,6 @@ from repro.core.tracking import available_modes, make_tracker
 from repro.errors import TrackingError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
-from repro.hw.mmu import MmuResult
-from repro.hw.pagetable import PTE_DIRTY
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 from repro.serverless.snapshot import Snapshot, SnapshotDiff
@@ -104,118 +100,24 @@ class UnifiedDirtyTracker:
         #: (:class:`repro.faults.auditor.CompletenessAuditor`) can see
         #: through the facade.
         self.tracker = make_tracker(mode, kernel, process, **tracker_kwargs)
-        #: Per-vCPU thread-local dirty bitmaps (vcpu_id -> bool[n_pages]).
-        self._tl: dict[int, np.ndarray] = {}
-        self._tl_listener_installed = False
-
-    # -- faabric surface ----------------------------------------------
-    def get_type(self) -> str:
-        """The selected mode string (faabric ``getType``)."""
-        return self.mode
-
-    # Duck-typed DirtyPageTracker surface: audit layers
-    # (CompletenessAuditor) and generic harness code drive the facade
-    # exactly like the technique it wraps.
-    @property
-    def technique(self):
-        return self.tracker.technique
-
-    @property
-    def last_stats(self):
-        return getattr(self.tracker, "last_stats", None)
-
-    @property
-    def n_fallbacks(self) -> int:
-        return int(getattr(self.tracker, "n_fallbacks", 0))
 
     def start(self) -> None:
-        self.start_tracking()
-
-    def collect(self) -> np.ndarray:
-        return self.collect_vpns()
-
-    def stop(self) -> None:
-        self.stop_tracking()
-
-    def start_tracking(self) -> None:
         self.tracker.start()
 
-    def stop_tracking(self) -> None:
-        self._drop_listener()
-        self._tl.clear()
-        self.tracker.stop()
-
-    def collect_vpns(self) -> np.ndarray:
+    def collect(self) -> np.ndarray:
         """Dirty VPNs since the last collect — the technique's own answer,
         bit-identical to driving it without the facade."""
         return self.tracker.collect()
 
+    def stop(self) -> None:
+        self.tracker.stop()
+
     def get_dirty_offsets(self, region: MappedRegion) -> np.ndarray:
         """Region-relative page offsets the technique reports dirty."""
-        vpns = self.collect_vpns()
-        return self._to_offsets(vpns, region)
-
-    def clear_all(self) -> None:
-        """Discard pending dirty state and re-arm (faabric ``clearAll``)."""
-        self.tracker.collect()
-        for bitmap in self._tl.values():
-            bitmap[:] = False
-
-    # -- thread-local contexts ----------------------------------------
-    def start_thread_local_tracking(self, vcpu_id: int) -> None:
-        """Open a per-vCPU tracking context.
-
-        Implemented on the guest kernel's zero-cost access-listener seam
-        (the oracle technique's mechanism): arming clears PTE dirty bits
-        so the listener sees 0 -> 1 transitions.  Costless and advisory —
-        the authoritative dirty set is always the wrapped technique's.
-        """
-        if not 0 <= vcpu_id < self.kernel.vm.n_vcpus:
-            raise TrackingError(f"no such vCPU: {vcpu_id}")
-        self._tl[vcpu_id] = np.zeros(self.process.space.n_pages, dtype=bool)
-        mapped = self.process.space.pt.mapped_vpns()
-        if mapped.size:
-            self.process.space.pt.clear_flags(mapped, PTE_DIRTY)
-            self.process.space.invalidate_all(mapped)
-        if not self._tl_listener_installed:
-            self.kernel.add_access_listener(self._on_access)
-            self._tl_listener_installed = True
-
-    def stop_thread_local_tracking(self, vcpu_id: int) -> None:
-        self._tl.pop(vcpu_id, None)
-        if not self._tl:
-            self._drop_listener()
-
-    def get_thread_local_dirty_offsets(
-        self, vcpu_id: int, region: MappedRegion
-    ) -> np.ndarray:
-        """Offsets dirtied while the process ran on ``vcpu_id``."""
-        bitmap = self._tl.get(vcpu_id)
-        if bitmap is None:
-            raise TrackingError(f"no thread-local context for vCPU {vcpu_id}")
-        return self._to_offsets(np.flatnonzero(bitmap).astype(np.int64), region)
-
-    def get_both_dirty_offsets(self, region: MappedRegion) -> np.ndarray:
-        """Union of the technique's dirty set and every thread-local
-        context (faabric ``getBothDirtyPages``).  Collects — re-arms —
-        the wrapped technique."""
-        offsets = self.get_dirty_offsets(region)
-        for bitmap in self._tl.values():
-            tl = self._to_offsets(np.flatnonzero(bitmap).astype(np.int64), region)
-            offsets = np.union1d(offsets, tl)
-        return offsets.astype(np.int64)
-
-    def _on_access(self, process: Process, result: MmuResult) -> None:
-        if process.pid != self.process.pid or not result.newly_pte_dirty.size:
-            return
-        bitmap = self._tl.get(self.kernel.scheduler.vcpu_of(process))
-        if bitmap is not None:
-            bitmap[result.newly_pte_dirty] = True
-
-    def _drop_listener(self) -> None:
-        if self._tl_listener_installed:
-            self.kernel.remove_access_listener(self._on_access)
-            self._tl_listener_installed = False
+        vpns = np.sort(self.collect())
+        lo = np.searchsorted(vpns, region.start_vpn, side="left")
+        hi = np.searchsorted(vpns, region.end_vpn, side="left")
+        return (vpns[lo:hi] - region.start_vpn).astype(np.int64)
 
     # -- snapshot mapping / diff extraction ---------------------------
     def map_regions(self, snapshot: Snapshot, start_vpn: int = 0) -> MappedRegion:
@@ -298,12 +200,3 @@ class UnifiedDirtyTracker:
             otr.ACTIVE.metrics.inc("snapshot.diffs")
             otr.ACTIVE.metrics.observe("snapshot.diff_pages", diff.n_pages)
         return diff
-
-    # -- helpers ------------------------------------------------------
-    @staticmethod
-    def _to_offsets(vpns: np.ndarray, region: MappedRegion) -> np.ndarray:
-        """Restrict ``vpns`` to the region, as ascending relative offsets."""
-        vpns = np.sort(vpns)
-        lo = np.searchsorted(vpns, region.start_vpn, side="left")
-        hi = np.searchsorted(vpns, region.end_vpn, side="left")
-        return (vpns[lo:hi] - region.start_vpn).astype(np.int64)

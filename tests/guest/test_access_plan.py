@@ -122,7 +122,6 @@ def test_multi_batch_segment_replays():
         stack, proc = _stack()
         mmu = stack.vm.mmu
         mmu._cache = {}
-        mmu.fused = True  # segment replay exists only on the fused walk
         b = PlanBuilder()
         for lo in range(0, 64, 16):
             b.write(np.arange(lo, lo + 16, dtype=np.int64))

@@ -94,7 +94,6 @@ def _steady_stack():
     stack = build_stack(vm_mb=8)
     mmu = stack.vm.mmu
     mmu._cache = {}  # force the walk cache on regardless of env
-    mmu.fused = True  # replay and the fast path exist only on the fused walk
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     vpns = np.arange(N_PAGES, dtype=np.int64)
@@ -214,7 +213,6 @@ def test_walk_cache_env_gate(monkeypatch):
 def test_disabled_cache_never_replays():
     stack = build_stack(vm_mb=8)
     stack.vm.mmu._cache = None
-    stack.vm.mmu.fused = True  # the fast path exists only on the fused walk
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     vpns = np.arange(N_PAGES, dtype=np.int64)

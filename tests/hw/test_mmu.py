@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.emu import RefMmu
 from repro.errors import ProtectionFault
 from repro.hw import vmcs as vm
 from repro.hw.ept import Ept
@@ -53,18 +54,20 @@ class Handlers:
         self.pt.clear_flags(vpns, PTE_UFD_WP)
 
 
-@pytest.fixture()
-def env():
+def _make_env(mmu_cls):
     host = PhysicalMemory(1024)
     ept = Ept(1024)
     pml = PmlCircuit(vm.Vmcs(), capacity=512)
-    # Pin the fast path on: the suite must pass under REPRO_FUSED_MMU=0
-    # (CI differential leg), and these tests exercise the fused pipeline.
-    mmu = Mmu(ept, host, pml, fused=True)
+    mmu = mmu_cls(ept, host, pml)
     pt = PageTable(256)
     tlb = Tlb(256)
     handlers = Handlers(pt, ept, host)
     return mmu, pt, tlb, handlers, ept, host, pml
+
+
+@pytest.fixture()
+def env():
+    return _make_env(Mmu)
 
 
 def test_first_touch_minor_faults_then_no_faults(env):
@@ -187,19 +190,6 @@ def test_tlb_filled_after_access(env):
     assert tlb.cached_mask(np.array([0, 7])).all()
 
 
-def test_fused_toggle_constructor_and_env(monkeypatch):
-    host = PhysicalMemory(64)
-    ept = Ept(64)
-    pml = PmlCircuit(vm.Vmcs(), capacity=512)
-    monkeypatch.delenv("REPRO_FUSED_MMU", raising=False)
-    assert Mmu(ept, host, pml).fused is True
-    assert Mmu(ept, host, pml, fused=False).fused is False
-    monkeypatch.setenv("REPRO_FUSED_MMU", "0")
-    assert Mmu(ept, host, pml).fused is False
-    monkeypatch.setenv("REPRO_FUSED_MMU", "1")
-    assert Mmu(ept, host, pml, fused=False).fused is False  # arg wins
-
-
 def test_fast_path_counters_and_result(env):
     mmu, pt, tlb, h, *_ = env
     vpns = np.arange(10, 42, dtype=np.int64)
@@ -234,10 +224,51 @@ def test_fast_path_declines_when_tlb_cold(env):
     assert mmu.n_fast_batches == 0
 
 
-def test_multipass_never_takes_fast_path(env):
-    mmu, pt, tlb, h, *_ = env
-    mmu.fused = False
+def test_multipass_never_takes_fast_path():
+    mmu, pt, tlb, h, *_ = _make_env(RefMmu)
     vpns = np.arange(0, 8, dtype=np.int64)
     mmu.access(pt, tlb, vpns, True, h)
     mmu.access(pt, tlb, vpns, True, h)
     assert mmu.n_fast_batches == 0
+    assert mmu._cache is None  # the oracle never memoizes
+
+
+class TestRefMmu:
+    """The walk-semantics tests above, re-run on the multipass oracle.
+
+    The class-level ``env`` overrides the module fixture, so each test
+    keeps its assertions and only the walk changes.  The fast-path tests
+    are production-only and stay out.
+    """
+
+    @pytest.fixture()
+    def env(self):
+        return _make_env(RefMmu)
+
+    test_first_touch_minor_faults_then_no_faults = staticmethod(
+        test_first_touch_minor_faults_then_no_faults
+    )
+    test_write_sets_pte_and_ept_dirty = staticmethod(
+        test_write_sets_pte_and_ept_dirty
+    )
+    test_dirty_transition_only_once = staticmethod(test_dirty_transition_only_once)
+    test_soft_dirty_wp_fault_path = staticmethod(test_soft_dirty_wp_fault_path)
+    test_read_does_not_trigger_wp_fault = staticmethod(
+        test_read_does_not_trigger_wp_fault
+    )
+    test_ufd_wp_fault_routed_with_mask = staticmethod(
+        test_ufd_wp_fault_routed_with_mask
+    )
+    test_ufd_miss_fault_preempts_minor_fault = staticmethod(
+        test_ufd_miss_fault_preempts_minor_fault
+    )
+    test_content_tokens_change_on_write_only = staticmethod(
+        test_content_tokens_change_on_write_only
+    )
+    test_write_read_page_contents_roundtrip = staticmethod(
+        test_write_read_page_contents_roundtrip
+    )
+    test_duplicate_vpns_in_batch = staticmethod(test_duplicate_vpns_in_batch)
+    test_broken_handler_detected = staticmethod(test_broken_handler_detected)
+    test_empty_batch = staticmethod(test_empty_batch)
+    test_tlb_filled_after_access = staticmethod(test_tlb_filled_after_access)

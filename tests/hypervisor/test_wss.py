@@ -158,7 +158,6 @@ def test_wss_sample_correct_with_warm_walk_cache():
 
     stack = build_stack(vm_mb=8)
     stack.vm.mmu._cache = {}  # force the walk cache on for this test
-    stack.vm.mmu.fused = True  # replay exists only on the fused walk
     proc = stack.kernel.spawn("app", n_pages=128)
     proc.space.add_vma(128)
     stack.kernel.access(proc, np.arange(128), True)

@@ -1,12 +1,13 @@
-"""Differential validation: fused MMU walk vs multipass vs reference.
+"""Differential validation: production MMU walk vs multipass vs reference.
 
-The fused walk and its TLB fast path (``Mmu.access``) must be
-bit-identical to the original multipass walk they replaced — same
-:class:`MmuResult`, same PML buffer contents and full-event counts, same
-PTE/EPT state, same physical-memory content tokens, same clock totals.
-Randomized batch streams drive two production stacks that differ only in
-``Mmu.fused``, plus the independent scalar reference model for the log
-semantics.
+The production walk and its TLB fast path (``Mmu.access``) must be
+bit-identical to the original multipass walk they replaced
+(:class:`repro.emu.RefMmu`) — same :class:`MmuResult`, same PML buffer
+contents and full-event counts, same PTE/EPT state, same physical-memory
+content tokens, same clock totals.  Randomized batch streams drive two
+stacks that differ only in ``vm.mmu`` (the reference one is swapped in
+for the production one), plus the independent scalar reference model for
+the log semantics.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
-from repro.emu import RefMachine
+from repro.emu import RefMachine, RefMmu
 from repro.guest.kernel import GuestKernel
 from repro.hw import vmcs as vmcsf
 from repro.hw.pagetable import PTE_DIRTY
@@ -28,11 +29,13 @@ CAPACITY = 16  # small buffer => frequent full events
 class Harness:
     """The production stack wired for raw log capture."""
 
-    def __init__(self, fused: bool) -> None:
+    def __init__(self, ref: bool = False) -> None:
         self.clock = SimClock()
         hv = Hypervisor(self.clock, CostModel(), host_mem_mb=32)
         self.vm = hv.create_vm("vm0", mem_mb=8, pml_buffer_entries=CAPACITY)
-        self.vm.mmu.fused = fused
+        if ref:
+            mmu = self.vm.mmu
+            self.vm.mmu = RefMmu(mmu.ept, mmu.host_mem, mmu.pml)
         self.kernel = GuestKernel(self.vm)
         self.proc = self.kernel.spawn("app", n_pages=N_PAGES)
         self.proc.space.add_vma(N_PAGES)
@@ -137,8 +140,8 @@ OPS = st.lists(
 )
 
 
-def drive(fused: bool, ops) -> Harness:
-    h = Harness(fused=fused)
+def drive(ref: bool, ops) -> Harness:
+    h = Harness(ref=ref)
     for op in ops:
         if op == "clear_refs":
             h.kernel.procfs.clear_refs(h.proc)
@@ -177,16 +180,17 @@ def drive_ref(ops) -> RefMachine:
 @given(ops=OPS)
 def test_fused_equals_multipass(ops):
     """Full-state equivalence over randomized batch streams."""
-    fused = drive(True, ops)
-    multi = drive(False, ops)
+    fused = drive(False, ops)
+    multi = drive(True, ops)
+    assert type(multi.vm.mmu) is RefMmu
     assert fused.state() == multi.state()
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=OPS)
 def test_fused_equals_reference_model(ops):
-    """Fused walk vs the independent scalar reference (log semantics)."""
-    fused = drive(True, ops)
+    """Production walk vs the independent scalar reference (log semantics)."""
+    fused = drive(False, ops)
     ref = drive_ref(ops)
     # Batches log in page order, the scalar replay in access order; both
     # log each 0->1 transition exactly once, so compare as multisets.
@@ -201,9 +205,10 @@ def test_fused_equals_reference_model(ops):
 
 def test_fast_path_fires_and_stays_identical():
     """Re-writing a sorted, already-dirty range takes the TLB fast path
-    in fused mode — and still matches the multipass walk bit-for-bit."""
+    on the production walk — and still matches the multipass walk
+    bit-for-bit."""
     vpns = np.arange(0, 64, dtype=np.int64)
-    fused, multi = Harness(fused=True), Harness(fused=False)
+    fused, multi = Harness(), Harness(ref=True)
     for h in (fused, multi):
         for _ in range(4):
             h.access(vpns, True)
@@ -217,7 +222,7 @@ def test_fast_path_declines_after_dirty_clear():
     """Clearing PTE dirty bits (tracker re-arm) must push the next write
     back through the full walk so the 0->1 transition is logged."""
     vpns = np.arange(0, 32, dtype=np.int64)
-    h = Harness(fused=True)
+    h = Harness()
     h.access(vpns, True)
     h.access(vpns, True)  # fast path
     before = h.vm.mmu.n_fast_batches

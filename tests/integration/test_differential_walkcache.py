@@ -37,8 +37,6 @@ def _run(technique: str, walk_cache: bool, chaos: bool = False,
     # Force the switch explicitly so both legs are meaningful regardless
     # of the REPRO_WALK_CACHE CI matrix leg this test runs under.
     mmu._cache = {} if walk_cache else None
-    # Replay exists only on the fused walk; pin it under REPRO_FUSED_MMU=0.
-    mmu.fused = True
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     rng = np.random.default_rng(11)

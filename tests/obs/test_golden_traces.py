@@ -10,6 +10,10 @@ Regenerating after an intentional change::
     REPRO_REGOLDEN=1 PYTHONPATH=src python -m pytest tests/obs/test_golden_traces.py
 
 then review the golden-file diff like any other code change.
+
+The same files also certify the multipass reference walk
+(:class:`repro.emu.RefMmu`): swapped in for every VM's MMU, it must
+reproduce each golden stream byte for byte.
 """
 
 import os
@@ -17,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.emu import RefMmu
+from repro.hypervisor import vm as vm_mod
 from repro.obs.trace import TraceBuffer
 
 from .golden_runs import GOLDEN_SMP_TECHNIQUES, GOLDEN_TECHNIQUES, canonical_run
@@ -53,6 +59,23 @@ def test_trace_matches_golden(technique, n_vcpus):
         f"missing golden trace {path}; regenerate with REPRO_REGOLDEN=1"
     )
     assert got == path.read_text()
+
+
+@pytest.mark.parametrize("technique,n_vcpus", GOLDEN_SCENARIOS)
+def test_reference_walk_matches_golden(technique, n_vcpus, monkeypatch):
+    """The multipass oracle emits the production walk's exact trace."""
+    if _regolden():
+        pytest.skip("regolden pass")
+    built = []
+
+    def ref_mmu(*args):
+        built.append(RefMmu(*args))
+        return built[-1]
+
+    monkeypatch.setattr(vm_mod, "Mmu", ref_mmu)
+    got = canonical_run(technique, n_vcpus=n_vcpus).trace.to_jsonl()
+    assert [type(m) for m in built] == [RefMmu]
+    assert got == _golden_path(technique, n_vcpus).read_text()
 
 
 @pytest.mark.parametrize("technique,n_vcpus", GOLDEN_SCENARIOS)

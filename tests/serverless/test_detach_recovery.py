@@ -32,7 +32,7 @@ def test_instance_diff_complete_despite_force_detach(stack):
         chain=(Technique.SPML, Technique.PROC), failure_threshold=1,
     )
     region = facade.map_regions(snap)
-    facade.start_tracking()
+    facade.start()
     # First half of the instance's writes land in the SPML log...
     early = np.array([2, 7, 11], dtype=np.int64)
     stack.kernel.access(proc, early, True)
@@ -46,12 +46,12 @@ def test_instance_diff_complete_despite_force_detach(stack):
         proc.space.pt, written, output_tokens("fn/0", written)
     )
     diff = facade.extract_diff(region, "fn/0", commit_seq=0)
-    facade.stop_tracking()
+    facade.stop()
     # Conservative over-report trimmed to the byte-exact changed set:
     # nothing lost (the post-detach writes included), nothing extra.
     np.testing.assert_array_equal(diff.offsets, written)
     np.testing.assert_array_equal(diff.tokens, output_tokens("fn/0", written))
-    assert facade.n_fallbacks == 1
+    assert facade.tracker.n_fallbacks == 1
 
     # The merged snapshot equals one from an undisturbed oracle run.
     snap.merge([diff])

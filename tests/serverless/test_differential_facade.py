@@ -56,20 +56,14 @@ def _run(mode: str, facade: bool, walk_cache: bool, chaos: bool = False):
         stack.kernel.access(proc, np.arange(N_PAGES), True)  # prefault
         if facade:
             tracker = UnifiedDirtyTracker(stack.kernel, proc, mode, **kwargs)
-            start, collect, stop = (
-                tracker.start_tracking,
-                tracker.collect_vpns,
-                tracker.stop_tracking,
-            )
         else:
             tracker = make_tracker(mode, stack.kernel, proc, **kwargs)
-            start, collect, stop = tracker.start, tracker.collect, tracker.stop
-        start()
+        tracker.start()
         for _ in range(ROUNDS):
             vpns = rng.integers(0, N_PAGES, size=N_PAGES // 2)
             stack.kernel.access(proc, vpns, True)
-            collects.append([int(v) for v in collect()])
-        stop()
+            collects.append([int(v) for v in tracker.collect()])
+        tracker.stop()
 
     if injector is not None:
         with injector.active():
@@ -125,7 +119,7 @@ def test_facade_audited_clean_under_chaos(mode):
     facade = UnifiedDirtyTracker(
         stack.kernel, proc, mode, **_CHAOS_KWARGS.get(mode, {})
     )
-    auditor = CompletenessAuditor(stack.kernel, proc, facade)
+    auditor = CompletenessAuditor(stack.kernel, proc, facade.tracker)
     rng = np.random.default_rng(17)
     with FaultPlan(CHAOS, seed=CHAOS_SEED).build().active():
         auditor.start()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.tracking import available_modes
 from repro.errors import TrackingError
-from repro.experiments.harness import build_stack
 from repro.faults.auditor import CompletenessAuditor
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
@@ -23,12 +22,15 @@ def _prefaulted(stack, n_pages=N_PAGES):
 
 
 def test_mode_selection_and_get_type(stack):
+    """faabric's ``getType`` is the ``mode`` attribute; an unknown mode
+    fails fast and names what is available."""
     proc = _prefaulted(stack)
     facade = UnifiedDirtyTracker(stack.kernel, proc, "oracle")
-    assert facade.get_type() == "oracle"
-    assert facade.technique.value == "oracle"
-    with pytest.raises(TrackingError):
+    assert facade.mode == "oracle"
+    assert facade.tracker.technique.value == "oracle"
+    with pytest.raises(TrackingError, match="no-such-mode") as err:
         UnifiedDirtyTracker(stack.kernel, proc, "no-such-mode")
+    assert all(mode in str(err.value) for mode in available_modes())
 
 
 def test_available_modes_cover_registry(stack):
@@ -55,9 +57,9 @@ def test_map_regions_lands_snapshot_contents(stack):
     assert event.fields["n_pages"] == N_PAGES
     assert region.snapshot_version == snap.version
     # The mapping must not look like dirtying: tracking starts clean.
-    facade.start_tracking()
-    assert facade.collect_vpns().size == 0
-    facade.stop_tracking()
+    facade.start()
+    assert facade.collect().size == 0
+    facade.stop()
 
 
 def test_extract_diff_is_byte_exact(stack):
@@ -65,7 +67,7 @@ def test_extract_diff_is_byte_exact(stack):
     snap = Snapshot.base("fn", N_PAGES)
     facade = UnifiedDirtyTracker(stack.kernel, proc, "oracle")
     region = facade.map_regions(snap)
-    facade.start_tracking()
+    facade.start()
     written = np.array([3, 9, 17, 40], dtype=np.int64)
     stack.kernel.access(proc, written, True)
     # Pages 17 and 40 get their original contents written back: they are
@@ -79,70 +81,16 @@ def test_extract_diff_is_byte_exact(stack):
         proc.space.pt, changed, output_tokens("fn/0", changed)
     )
     diff = facade.extract_diff(region, "fn/0", commit_seq=0)
-    facade.stop_tracking()
+    facade.stop()
     np.testing.assert_array_equal(diff.offsets, changed)
     np.testing.assert_array_equal(diff.tokens, output_tokens("fn/0", changed))
 
 
-def test_thread_local_contexts_attribute_by_vcpu():
-    stack = build_stack(vm_mb=16, n_vcpus=2)
-    proc = _prefaulted(stack)
-    snap = Snapshot.base("fn", N_PAGES)
-    facade = UnifiedDirtyTracker(stack.kernel, proc, "oracle")
-    region = facade.map_regions(snap)
-    facade.start_tracking()
-    facade.start_thread_local_tracking(0)
-    facade.start_thread_local_tracking(1)
-    stack.kernel.scheduler.migrate(proc, 0)
-    stack.kernel.access(proc, [1, 2], True)
-    stack.kernel.scheduler.migrate(proc, 1)
-    stack.kernel.access(proc, [2, 7], True)
-    tl0 = facade.get_thread_local_dirty_offsets(0, region)
-    tl1 = facade.get_thread_local_dirty_offsets(1, region)
-    assert set(tl0.tolist()) == {1, 2}
-    # Page 2's dirty bit was already set by vCPU 0's write; only the 0->1
-    # transition is observable, so vCPU 1 legitimately records just 7.
-    assert set(tl1.tolist()) == {7}
-    both = facade.get_both_dirty_offsets(region)
-    assert set(both.tolist()) == {1, 2, 7}
-    facade.stop_thread_local_tracking(0)
-    with pytest.raises(TrackingError):
-        facade.get_thread_local_dirty_offsets(0, region)
-    facade.stop_tracking()
-    with pytest.raises(TrackingError):
-        facade.start_thread_local_tracking(5)  # no such vCPU
-
-
-def test_stop_tracking_removes_listener(stack):
-    proc = _prefaulted(stack)
-    facade = UnifiedDirtyTracker(stack.kernel, proc, "proc")
-    facade.start_tracking()
-    facade.start_thread_local_tracking(0)
-    assert facade._tl_listener_installed
-    facade.stop_tracking()
-    assert not facade._tl_listener_installed
-    assert facade._on_access not in stack.kernel._access_listeners
-
-
-def test_clear_all_discards_pending_state(stack):
-    proc = _prefaulted(stack)
-    facade = UnifiedDirtyTracker(stack.kernel, proc, "oracle")
-    facade.start_tracking()
-    facade.start_thread_local_tracking(0)
-    stack.kernel.access(proc, [4, 5], True)
-    facade.clear_all()
-    assert facade.collect_vpns().size == 0
-    region = facade.map_regions(Snapshot.base("fn", N_PAGES))
-    assert facade.get_thread_local_dirty_offsets(0, region).size == 0
-    facade.stop_tracking()
-
-
 def test_facade_is_auditable(stack):
-    """The auditor drives the facade through the duck-typed tracker
-    surface and sees the wrapped technique's identity."""
+    """The auditor audits the technique the facade wraps."""
     proc = _prefaulted(stack)
     facade = UnifiedDirtyTracker(stack.kernel, proc, "epml")
-    auditor = CompletenessAuditor(stack.kernel, proc, facade)
+    auditor = CompletenessAuditor(stack.kernel, proc, facade.tracker)
     auditor.start()
     stack.kernel.access(proc, np.arange(32), True)
     auditor.collect()

@@ -132,7 +132,7 @@ def _run_lifecycle(stack, mode, snapshot, request_id, write_set, migrations):
     kwargs = {"resync_on_loss": True} if mode in ("spml", "epml") else {}
     facade = UnifiedDirtyTracker(kernel, proc, mode, **kwargs)
     region = facade.map_regions(snapshot)
-    facade.start_tracking()
+    facade.start()
     try:
         chunks = np.array_split(writes, len(migrations) + 1)
         for idx, chunk in enumerate(chunks):
@@ -145,7 +145,7 @@ def _run_lifecycle(stack, mode, snapshot, request_id, write_set, migrations):
         )
         diff = facade.extract_diff(region, instance_id, commit_seq=request_id)
     finally:
-        facade.stop_tracking()
+        facade.stop()
         kernel.exit_process(proc)
     return diff
 
