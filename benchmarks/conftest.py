@@ -23,10 +23,11 @@ def quick() -> bool:
 
 def run_and_print(benchmark, name: str, quick: bool):
     """Run one registry experiment under the benchmark fixture."""
+    from repro.config import RunConfig
     from repro.experiments.runner import run_experiment
 
     out = benchmark.pedantic(
-        run_experiment, args=(name,), kwargs={"quick": quick},
+        run_experiment, args=(name, RunConfig(quick=quick)),
         rounds=1, iterations=1,
     )
     print("\n" + out.text)

@@ -18,16 +18,11 @@ caching, e.g. when benchmarking cold-run wall-clock.
 from __future__ import annotations
 
 import copy
-import os
 from typing import Any, Callable, Hashable
 
+from repro.config import env_flag
+
 __all__ = ["MemoCache", "EXPERIMENT_CACHE"]
-
-
-def _enabled_default() -> bool:
-    return os.environ.get("REPRO_EXPERIMENT_CACHE", "1") not in (
-        "0", "false", "no"
-    )
 
 
 class MemoCache:
@@ -43,7 +38,9 @@ class MemoCache:
     def enabled(self) -> bool:
         # Re-read the environment unless explicitly pinned, so tests and
         # benchmarks can toggle caching without rebuilding the cache.
-        return self._enabled if self._enabled is not None else _enabled_default()
+        if self._enabled is not None:
+            return self._enabled
+        return env_flag("REPRO_EXPERIMENT_CACHE", True)
 
     def __len__(self) -> int:
         return len(self._store)

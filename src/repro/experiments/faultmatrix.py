@@ -10,16 +10,15 @@ silently** — capture dips are always accompanied by surfaced drop
 counters, and the recovery machinery (retries, conservative resyncs,
 lost-IPI sweeps, technique fallbacks) keeps the capture rate at 100%.
 
-The chaos seed is deterministic (``REPRO_CHAOS_SEED``, default 1234), so
-CI replays the exact same fault sequence.
+The chaos seed is the constant :data:`CHAOS_SEED`, so every run replays
+the exact same fault sequence.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from repro.config import RunConfig
 from repro.core.tracking import Technique, make_tracker
 from repro.experiments.harness import build_stack
 from repro.experiments.tables import render_table
@@ -28,7 +27,7 @@ from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 
 __all__ = ["chaos_plan", "run_fault_cell", "exp_fault_matrix", "CHAOS_SEED"]
 
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
+CHAOS_SEED = 1234
 
 RATES = [0.0, 0.01, 0.05, 0.2]
 QUICK_RATES = [0.0, 0.05]
@@ -94,13 +93,13 @@ def run_fault_cell(
     }
 
 
-def exp_fault_matrix(quick: bool = False):
+def exp_fault_matrix(config: RunConfig):
     """Fault rates x techniques; every cell must be silent-loss-free."""
     from repro.experiments.runner import ExperimentOutput
 
-    rates = QUICK_RATES if quick else RATES
-    n_pages = 1024 if quick else 4096
-    rounds = 4 if quick else 8
+    rates = QUICK_RATES if config.quick else RATES
+    n_pages = 1024 if config.quick else 4096
+    rounds = 4 if config.quick else 8
     headers = ["rate", "technique", "capture %", "resyncs", "retries",
                "recovered IPIs", "fallbacks", "surfaced drops", "silent loss"]
     rows = []

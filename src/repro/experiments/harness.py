@@ -18,12 +18,13 @@ time).
 
 from __future__ import annotations
 
-import os
+import gc
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
+from repro.config import env_int
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel, CostParams
 from repro.core.tracking import Technique, make_tracker
@@ -48,14 +49,14 @@ __all__ = [
 
 
 def _default_n_vcpus() -> int:
-    """Experiment-level vCPU count: ``REPRO_VCPUS`` (default 1).
+    """Experiment-level vCPU count: ``REPRO_VCPUS`` (default 1, >= 1).
 
     Only :func:`build_stack` honours the environment variable — direct
     ``Hypervisor.create_vm`` callers (unit tests, golden-trace runs) pin
     their own count, so a CI matrix leg exporting ``REPRO_VCPUS=4`` scales
     the experiment stacks without perturbing exact-count tests.
     """
-    return int(os.environ.get("REPRO_VCPUS", "1"))
+    return env_int("REPRO_VCPUS", 1, minimum=1)
 
 
 def build_stack(
@@ -71,6 +72,10 @@ def build_stack(
     ``n_vcpus`` overrides the VM's vCPU count (SMP); when None it comes
     from ``REPRO_VCPUS`` (default 1, the paper's configuration).
     """
+    if vm_mb >= 1024:
+        # Dropped stacks are cyclic garbage: free them before a large build
+        # so peak RSS does not depend on when the GC last ran.
+        gc.collect()
     clock = SimClock()
     costs = CostModel(params=cost_params) if cost_params else CostModel()
     hv = Hypervisor(clock, costs, host_mem_mb=host_mb or (vm_mb + 512))

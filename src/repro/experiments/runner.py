@@ -1,6 +1,7 @@
 """Experiment registry: one entry per paper table/figure.
 
-Each ``exp_*`` function regenerates one evaluation artifact and returns a
+Each ``exp_*`` function takes the run's :class:`~repro.config.RunConfig`,
+regenerates one evaluation artifact and returns a
 :class:`ExperimentOutput` with structured rows plus a rendered text table.
 The benchmark suite (``benchmarks/``) wraps these; they can also be run
 directly::
@@ -8,7 +9,7 @@ directly::
     python -m repro.experiments.runner table1 --quick
     python -m repro.experiments.runner all
 
-``quick`` shrinks sizes/scales so everything completes in seconds; the
+``--quick`` shrinks sizes/scales so everything completes in seconds; the
 defaults reproduce the paper's configurations (Table III sizes, 1 MB-1 GB
 sweeps).
 """
@@ -17,15 +18,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.core import formulas
 from repro.core.calibration import TABLE_VB_MS, TABLE_VB_SIZES_MB, mb_to_pages
 from repro.core.costs import CostModel
 from repro.core.tracking import Technique
+from repro.errors import ConfigurationError
 from repro.experiments.faultmatrix import exp_fault_matrix
 from repro.experiments.harness import (
     run_boehm,
@@ -75,9 +78,9 @@ class ExperimentOutput:
 # ---------------------------------------------------------------------
 # Table I
 # ---------------------------------------------------------------------
-def exp_table1(quick: bool = False) -> ExperimentOutput:
+def exp_table1(config: RunConfig) -> ExperimentOutput:
     """Table I: % overhead of ufd and /proc on Tracked and Tracker."""
-    sizes = QUICK_SIZES_MB if quick else SIZES_MB
+    sizes = QUICK_SIZES_MB if config.quick else SIZES_MB
     results = {
         (t, mb): run_microbench(t, mem_mb=mb)
         for t in (Technique.UFD, Technique.PROC)
@@ -105,10 +108,10 @@ def exp_table1(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Table IV: formula validation
 # ---------------------------------------------------------------------
-def exp_table4(quick: bool = False) -> ExperimentOutput:
+def exp_table4(config: RunConfig) -> ExperimentOutput:
     """Table IV: estimated vs measured times for SPML and /proc (CRIU
     over tkrzw-baby), reproducing the §VI-B validation."""
-    scale = 0.01 if quick else 0.05
+    scale = 0.01 if config.quick else 0.05
     rows = []
     for technique in (Technique.SPML, Technique.PROC):
         r = run_criu("baby", "large", technique, scale=scale)
@@ -147,10 +150,10 @@ def exp_table4(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Table V: basic costs
 # ---------------------------------------------------------------------
-def exp_table5(quick: bool = False) -> ExperimentOutput:
+def exp_table5(config: RunConfig) -> ExperimentOutput:
     """Table Vb: memory-dependent metric costs, measured in-simulator vs
     the paper's published values."""
-    sizes = QUICK_SIZES_MB if quick else SIZES_MB
+    sizes = QUICK_SIZES_MB if config.quick else SIZES_MB
     metric_events = {
         "m15_clear_refs": ("proc", "clear_refs"),
         "m16_pt_walk_user": ("proc", "pt_walk_user"),
@@ -187,7 +190,7 @@ def exp_table5(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Table VI: metric classification (derived)
 # ---------------------------------------------------------------------
-def exp_table6(quick: bool = False) -> ExperimentOutput:
+def exp_table6(config: RunConfig) -> ExperimentOutput:
     """Table VI: which metrics each technique involves, measured by
     observing which events fire under each technique."""
     sizes_mb = 10
@@ -216,10 +219,10 @@ def exp_table6(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Fig. 3: SPML collection breakdown
 # ---------------------------------------------------------------------
-def exp_fig3(quick: bool = False) -> ExperimentOutput:
+def exp_fig3(config: RunConfig) -> ExperimentOutput:
     """Fig. 3: reverse mapping / PT walk / RB copy shares of SPML
     collection (reverse mapping is the bottleneck, >= ~68%)."""
-    sizes = QUICK_SIZES_MB if quick else SIZES_MB
+    sizes = QUICK_SIZES_MB if config.quick else SIZES_MB
     headers = ["size", "reverse_map ms", "pt_walk ms", "rb_copy ms",
                "revmap share %"]
     rows = []
@@ -242,9 +245,9 @@ def exp_fig3(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Fig. 4: micro-benchmark slowdowns
 # ---------------------------------------------------------------------
-def exp_fig4(quick: bool = False) -> ExperimentOutput:
+def exp_fig4(config: RunConfig) -> ExperimentOutput:
     """Fig. 4: slowdown of each technique on the micro-benchmark."""
-    sizes = QUICK_SIZES_MB if quick else SIZES_MB
+    sizes = QUICK_SIZES_MB if config.quick else SIZES_MB
     headers = ["size"] + [t.value for t in
                           (Technique.PROC, Technique.UFD, Technique.SPML,
                            Technique.EPML)]
@@ -292,17 +295,17 @@ def _boehm_matrix(quick: bool, configs: tuple[str, ...]) -> dict:
     return out
 
 
-def exp_fig5(quick: bool = False) -> ExperimentOutput:
+def exp_fig5(config: RunConfig) -> ExperimentOutput:
     """Fig. 5: Boehm GC time per technique (first cycle highlighted)."""
-    configs = ("small",) if quick else ("small", "medium", "large")
-    results = _boehm_matrix(quick, configs)
+    configs = ("small",) if config.quick else ("small", "medium", "large")
+    results = _boehm_matrix(config.quick, configs)
     headers = ["app", "config", "technique", "cycles", "first ms",
                "rest ms", "total GC ms"]
     rows = []
-    for (app, config, t), r in sorted(results.items()):
+    for (app, size, t), r in sorted(results.items()):
         first = r.cycles[0].pause_us if r.cycles else 0.0
         rest = sum(c.pause_us for c in r.cycles[1:])
-        rows.append([app, config, t, len(r.cycles), fmt_ms(first),
+        rows.append([app, size, t, len(r.cycles), fmt_ms(first),
                      fmt_ms(rest), fmt_ms(r.gc_us)])
     text = render_table(headers, rows, "Fig. 5: Boehm GC time per technique")
     return ExperimentOutput("fig5", headers, rows, text,
@@ -311,14 +314,14 @@ def exp_fig5(quick: bool = False) -> ExperimentOutput:
                                 for (a, c, t), r in results.items()}})
 
 
-def exp_fig6(quick: bool = False) -> ExperimentOutput:
+def exp_fig6(config: RunConfig) -> ExperimentOutput:
     """Fig. 6: Boehm's overhead on the tracked application."""
-    configs = ("small",) if quick else ("small", "medium", "large")
-    results = _boehm_matrix(quick, configs)
+    configs = ("small",) if config.quick else ("small", "medium", "large")
+    results = _boehm_matrix(config.quick, configs)
     headers = ["app", "config", "technique", "overhead on Tracked %"]
     rows = [
-        [app, config, t, fmt_pct(r.overhead_tracked_pct)]
-        for (app, config, t), r in sorted(results.items())
+        [app, size, t, fmt_pct(r.overhead_tracked_pct)]
+        for (app, size, t), r in sorted(results.items())
     ]
     text = render_table(headers, rows,
                         "Fig. 6: Boehm overhead on Tracked per technique")
@@ -338,9 +341,9 @@ def _criu_matrix(quick: bool) -> dict:
     }
 
 
-def exp_fig7(quick: bool = False) -> ExperimentOutput:
+def exp_fig7(config: RunConfig) -> ExperimentOutput:
     """Fig. 7: CRIU memory-write (MW) time per technique."""
-    results = _criu_matrix(quick)
+    results = _criu_matrix(config.quick)
     headers = ["app", "technique", "MW ms"]
     rows = [[app, t, fmt_ms(r.mw_us)] for (app, t), r in sorted(results.items())]
     text = render_table(headers, rows, "Fig. 7: CRIU memory-write time")
@@ -350,9 +353,9 @@ def exp_fig7(quick: bool = False) -> ExperimentOutput:
                                 for (a, t), r in results.items()}})
 
 
-def exp_fig8(quick: bool = False) -> ExperimentOutput:
+def exp_fig8(config: RunConfig) -> ExperimentOutput:
     """Fig. 8: CRIU total checkpoint time with the MD phase split out."""
-    results = _criu_matrix(quick)
+    results = _criu_matrix(config.quick)
     headers = ["app", "technique", "MD ms", "MW ms", "total ckpt ms"]
     rows = [
         [app, t, fmt_ms(r.md_us), fmt_ms(r.mw_us), fmt_ms(r.checkpoint_us)]
@@ -365,9 +368,9 @@ def exp_fig8(quick: bool = False) -> ExperimentOutput:
                                 for (a, t), r in results.items()}})
 
 
-def exp_fig9(quick: bool = False) -> ExperimentOutput:
+def exp_fig9(config: RunConfig) -> ExperimentOutput:
     """Fig. 9: CRIU's overhead on the checkpointed application."""
-    results = _criu_matrix(quick)
+    results = _criu_matrix(config.quick)
     headers = ["app", "technique", "overhead on Tracked %"]
     rows = [
         [app, t, fmt_pct(r.overhead_tracked_pct)]
@@ -380,15 +383,15 @@ def exp_fig9(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # Fig. 10 / 11: scalability with #VMs
 # ---------------------------------------------------------------------
-def exp_fig10_11(quick: bool = False) -> ExperimentOutput:
+def exp_fig10_11(config: RunConfig) -> ExperimentOutput:
     """Fig. 10/11: Boehm + histogram-Large while varying tenant VMs 1..5.
 
     Each VM has a dedicated CPU and its own PML state (the architectural
     reason the paper observes flat scalability); VMs are therefore
     independent simulator stacks and we report per-VM results.
     """
-    scale = 0.002 if quick else 0.01
-    config = "small" if quick else "large"
+    scale = 0.002 if config.quick else 0.01
+    size = "small" if config.quick else "large"
     headers = ["#VMs", "technique", "per-VM GC ms (min..max)",
                "per-VM overhead % (min..max)"]
     rows = []
@@ -396,7 +399,7 @@ def exp_fig10_11(quick: bool = False) -> ExperimentOutput:
         for t in ("spml", "epml"):
             gcs, ovh = [], []
             for _ in range(n_vms):
-                r = run_boehm("histogram", config, t, scale=scale,
+                r = run_boehm("histogram", size, t, scale=scale,
                               gc_params=GcParams(threshold_bytes=1 << 20))
                 gcs.append(r.gc_us)
                 ovh.append(r.overhead_tracked_pct)
@@ -413,7 +416,7 @@ def exp_fig10_11(quick: bool = False) -> ExperimentOutput:
 # ---------------------------------------------------------------------
 # registry / CLI
 # ---------------------------------------------------------------------
-EXPERIMENTS: dict[str, Callable[[bool], ExperimentOutput]] = {
+EXPERIMENTS: dict[str, Callable[[RunConfig], ExperimentOutput]] = {
     "table1": exp_table1,
     "table4": exp_table4,
     "table5": exp_table5,
@@ -433,11 +436,11 @@ EXPERIMENTS: dict[str, Callable[[bool], ExperimentOutput]] = {
 }
 
 
-def run_experiment(name: str, quick: bool = False) -> ExperimentOutput:
+def run_experiment(name: str, config: RunConfig = RunConfig()) -> ExperimentOutput:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; "
                        f"choose from {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](quick)
+    return EXPERIMENTS[name](config)
 
 
 #: ``--jobs`` work partition.  Experiments in one family share memoized
@@ -458,12 +461,12 @@ EXPERIMENT_FAMILIES: list[list[str]] = [
 ]
 
 
-def _run_family(names: list[str], quick: bool) -> list[tuple[str, str]]:
+def _run_family(names: list[str], config: RunConfig) -> list[tuple[str, str]]:
     """Worker entry point: run one family serially, return rendered text."""
-    return [(name, run_experiment(name, quick=quick).text) for name in names]
+    return [(name, run_experiment(name, config).text) for name in names]
 
 
-def _run_parallel(names: list[str], quick: bool, jobs: int) -> dict[str, str]:
+def _run_parallel(names: list[str], config: RunConfig, jobs: int) -> dict[str, str]:
     from concurrent.futures import ProcessPoolExecutor
 
     wanted = set(names)
@@ -473,7 +476,7 @@ def _run_parallel(names: list[str], quick: bool, jobs: int) -> dict[str, str]:
     families = [f for f in families if f]
     texts: dict[str, str] = {}
     with ProcessPoolExecutor(max_workers=min(jobs, len(families))) as pool:
-        for chunk in pool.map(_run_family, families, [quick] * len(families)):
+        for chunk in pool.map(_run_family, families, [config] * len(families)):
             texts.update(chunk)
     return texts
 
@@ -488,22 +491,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="run experiment families in N worker processes "
                              "(VM stacks are independent; output order is "
                              "unchanged)")
-    parser.add_argument("--vcpus", type=int, default=None, metavar="N",
-                        help="run every experiment VM with N vCPUs "
-                             "(sets REPRO_VCPUS, so --jobs workers inherit "
-                             "it; default: 1, or the REPRO_VCPUS env var)")
-    parser.add_argument("--hosts", type=int, default=None, metavar="N",
-                        help="fleet experiment: number of hosts "
-                             "(sets REPRO_FLEET_HOSTS)")
-    parser.add_argument("--vms", type=int, default=None, metavar="N",
-                        help="fleet experiment: number of VMs to drain "
-                             "(sets REPRO_FLEET_VMS)")
-    parser.add_argument("--instances", type=int, default=None, metavar="N",
-                        help="serverless experiment: function instances to "
-                             "run (sets REPRO_SERVERLESS_INSTANCES)")
-    parser.add_argument("--overcommit-ratio", metavar="R[,R...]", default=None,
-                        help="overcommit experiment: comma-separated ratios "
-                             "to sweep (sets REPRO_OVERCOMMIT_RATIOS)")
+    # RunConfig flags: stored under the field name, absent unless given.
+    unset = argparse.SUPPRESS
+    parser.add_argument("--hosts", dest="fleet_hosts", type=int, metavar="N",
+                        default=unset, help="fleet experiment: number of hosts")
+    parser.add_argument("--vms", dest="fleet_vms", type=int, metavar="N",
+                        default=unset, help="fleet experiment: VMs to drain")
+    parser.add_argument("--instances", dest="serverless_instances", type=int,
+                        metavar="N", default=unset,
+                        help="serverless experiment: function instances to run")
+    parser.add_argument("--overcommit-ratio", dest="overcommit_ratios",
+                        metavar="R[,R...]", default=unset,
+                        help="overcommit experiment: comma-separated ratios")
     parser.add_argument("--metrics", action="store_true",
                         help="collect observability metrics during the runs "
                              "and print the registry afterwards (forces "
@@ -514,41 +513,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.vcpus is not None:
-        if args.vcpus < 1:
-            parser.error("--vcpus must be >= 1")
-        # Via the environment so ProcessPoolExecutor workers (and the
-        # experiment cache keys) see the same vCPU count.
-        import os
-
-        os.environ["REPRO_VCPUS"] = str(args.vcpus)
-    if args.hosts is not None or args.vms is not None:
-        import os
-
-        if args.hosts is not None:
-            if args.hosts < 2:
-                parser.error("--hosts must be >= 2 (need a migration target)")
-            os.environ["REPRO_FLEET_HOSTS"] = str(args.hosts)
-        if args.vms is not None:
-            if args.vms < 1:
-                parser.error("--vms must be >= 1")
-            os.environ["REPRO_FLEET_VMS"] = str(args.vms)
-    if args.instances is not None:
-        import os
-
-        if args.instances < 1:
-            parser.error("--instances must be >= 1")
-        os.environ["REPRO_SERVERLESS_INSTANCES"] = str(args.instances)
-    if args.overcommit_ratio is not None:
-        import os
-
-        try:
-            ratios = [float(t) for t in args.overcommit_ratio.split(",") if t.strip()]
-        except ValueError:
-            ratios = []
-        if not ratios or any(r < 1.0 for r in ratios):
-            parser.error("--overcommit-ratio needs comma-separated ratios >= 1.0")
-        os.environ["REPRO_OVERCOMMIT_RATIOS"] = args.overcommit_ratio
+    given = {f.name for f in fields(RunConfig)} & set(vars(args))
+    try:
+        config = RunConfig(**{k: getattr(args, k) for k in given})
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.trace_out and not args.metrics:
         parser.error("--trace-out requires --metrics")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -561,14 +530,14 @@ def main(argv: list[str] | None = None) -> int:
             capacity=otr.ENV_SESSION_CAPACITY, detail=False
         )
     if args.jobs > 1 and len(names) > 1 and session is None:
-        texts = _run_parallel(names, args.quick, args.jobs)
+        texts = _run_parallel(names, config, args.jobs)
     elif session is not None:
         # Nesting-safe activation: a REPRO_TRACE env session (or a
         # caller's) is restored afterwards, not clobbered.
         with session.active():
-            texts = {n: run_experiment(n, quick=args.quick).text for n in names}
+            texts = {n: run_experiment(n, config).text for n in names}
     else:
-        texts = {n: run_experiment(n, quick=args.quick).text for n in names}
+        texts = {n: run_experiment(n, config).text for n in names}
     for name in names:  # canonical order regardless of worker completion
         print(texts[name])
         print()

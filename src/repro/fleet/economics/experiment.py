@@ -21,16 +21,16 @@ overcommit a measured trade, not a gamble.
 
 Deterministic by construction: one seed derives every workload stream,
 packing and victim selection use stable orderings, and there is no
-wall-clock anywhere.  Configured via ``--overcommit-ratio`` (environment:
-``REPRO_OVERCOMMIT_RATIOS`` / ``REPRO_OVERCOMMIT_HOSTS`` /
-``REPRO_OVERCOMMIT_VMS`` / ``REPRO_OVERCOMMIT_SEED``).
+wall-clock anywhere.  The swept ratios are ``RunConfig.overcommit_ratios``
+(CLI ``--overcommit-ratio``); the fleet is :data:`N_HOSTS` hosts offered
+:data:`N_VMS` tenants seeded by :data:`SEED`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro.config import RunConfig
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.errors import ConfigurationError
@@ -45,6 +45,11 @@ __all__ = [
     "run_overcommit_scenario",
     "exp_overcommit",
 ]
+
+#: The registry's sweep: hosts, offered tenants and workload seed.
+N_HOSTS = 2
+N_VMS = 14
+SEED = 11
 
 #: Accessed-bit sampling intervals per epoch per resident VM.
 WSS_INTERVALS = 2
@@ -129,9 +134,9 @@ def _sample_wss(fvm: FleetVm, intervals: int) -> int:
 
 def run_overcommit_scenario(
     ratio: float,
-    n_hosts: int = 2,
-    n_vms: int = 14,
-    seed: int = 11,
+    n_hosts: int = N_HOSTS,
+    n_vms: int = N_VMS,
+    seed: int = SEED,
     quick: bool = False,
     epochs: int | None = None,
     rounds_per_epoch: int | None = None,
@@ -200,37 +205,19 @@ def run_overcommit_scenario(
     return result
 
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, str(default)))
-
-
-def _env_ratios(default: str = "1.0,1.5,2.0,3.0") -> list[float]:
-    raw = os.environ.get("REPRO_OVERCOMMIT_RATIOS", default)
-    ratios = [float(tok) for tok in raw.split(",") if tok.strip()]
-    if not ratios:
-        raise ConfigurationError(f"no overcommit ratios in {raw!r}")
-    return ratios
-
-
-def exp_overcommit(quick: bool = False):
+def exp_overcommit(config: RunConfig):
     """Registry entry: sweep the overcommit ratio, render the frontier."""
     from repro.experiments.runner import ExperimentOutput
     from repro.experiments.tables import render_table
 
-    ratios = _env_ratios()
-    n_hosts = _env_int("REPRO_OVERCOMMIT_HOSTS", 2)
-    n_vms = _env_int("REPRO_OVERCOMMIT_VMS", 14)
-    seed = _env_int("REPRO_OVERCOMMIT_SEED", 11)
-    results: list[OvercommitRunResult] = []
-    for ratio in ratios:
-        results.append(
-            EXPERIMENT_CACHE.get_or_run(
-                ("overcommit", ratio, n_hosts, n_vms, seed, quick),
-                lambda r=ratio: run_overcommit_scenario(
-                    r, n_hosts, n_vms, seed, quick=quick
-                ),
-            )
+    ratios = list(config.overcommit_ratios)
+    results: list[OvercommitRunResult] = [
+        EXPERIMENT_CACHE.get_or_run(
+            ("overcommit", ratio, N_HOSTS, N_VMS, SEED, config.quick),
+            lambda r=ratio: run_overcommit_scenario(r, quick=config.quick),
         )
+        for ratio in ratios
+    ]
     headers = ["ratio", "admitted", "rejected", "nominal/cap", "reclaimed",
                "refaults", "refault/1k", "round us", "peak press"]
     rows = []
@@ -250,7 +237,7 @@ def exp_overcommit(quick: bool = False):
     text = render_table(
         headers, rows,
         f"Overcommit frontier: {results[0].n_vms} tenants offered to "
-        f"{n_hosts} hosts (seed {seed}) — admission vs refault cost",
+        f"{N_HOSTS} hosts (seed {SEED}) — admission vs refault cost",
     )
     return ExperimentOutput(
         "overcommit", headers, rows, text,

@@ -11,18 +11,17 @@ their page budgets, and per-VM downtime under contention.
 Deterministic by construction: one seed derives every workload stream,
 placement is pressure-ranked with stable tie-breaks, and concurrent
 pre-copy loops interleave round-robin in submission order — same seed and
-config ⇒ byte-identical report.  Configured via ``--hosts`` / ``--vms``
-(environment: ``REPRO_FLEET_HOSTS`` / ``REPRO_FLEET_VMS`` /
-``REPRO_FLEET_SEED``).
+config ⇒ byte-identical report.  Configured by ``RunConfig.fleet_hosts`` /
+``fleet_vms`` (CLI ``--hosts`` / ``--vms``); the seed is :data:`SEED`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.experiments.cache import EXPERIMENT_CACHE
@@ -37,6 +36,9 @@ from repro.net.link import Link
 from repro.net.transport import Transport
 
 __all__ = ["FleetScenarioResult", "run_fleet_scenario", "exp_fleet"]
+
+#: Seed of every workload stream in the registry's drain scenario.
+SEED = 7
 
 
 @dataclass
@@ -82,7 +84,7 @@ def _specs(n_vms: int, vm_mb: float, seed: int) -> list[VmSpec]:
 def run_fleet_scenario(
     n_hosts: int = 3,
     n_vms: int = 6,
-    seed: int = 7,
+    seed: int = SEED,
     quick: bool = False,
 ) -> FleetScenarioResult:
     """Build the fleet, overload ``h0``, drain it; return the outcome."""
@@ -113,21 +115,15 @@ def run_fleet_scenario(
     )
 
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, str(default)))
-
-
-def exp_fleet(quick: bool = False):
+def exp_fleet(config: RunConfig):
     """Registry entry: the drain scenario rendered as a table."""
     from repro.experiments.runner import ExperimentOutput
     from repro.experiments.tables import fmt_ms, render_table
 
-    n_hosts = _env_int("REPRO_FLEET_HOSTS", 3)
-    n_vms = _env_int("REPRO_FLEET_VMS", 6)
-    seed = _env_int("REPRO_FLEET_SEED", 7)
+    n_hosts, n_vms, seed = config.fleet_hosts, config.fleet_vms, SEED
     result: FleetScenarioResult = EXPERIMENT_CACHE.get_or_run(
-        ("fleet", n_hosts, n_vms, seed, quick),
-        lambda: run_fleet_scenario(n_hosts, n_vms, seed, quick=quick),
+        ("fleet", n_hosts, n_vms, seed, config.quick),
+        lambda: run_fleet_scenario(n_hosts, n_vms, seed, quick=config.quick),
     )
     headers = ["vm", "route", "mode", "rounds", "pages", "retrans",
                "throttle", "wss", "downtime ms", "total ms", "ok"]

@@ -51,12 +51,12 @@ per-batch cache probes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
+from repro.config import env_flag
 from repro.errors import InvalidAddressError, ProtectionFault
 from repro.hw.ept import EPT_ACCESSED, EPT_DIRTY, Ept
 from repro.hw.memory import PhysicalMemory
@@ -75,11 +75,6 @@ from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
 __all__ = ["FaultHandlers", "MmuResult", "Mmu"]
-
-
-def _walk_cache_default() -> bool:
-    """Process-wide default for the walk cache (REPRO_WALK_CACHE=0 opts out)."""
-    return os.environ.get("REPRO_WALK_CACHE", "1") not in ("0", "false", "no")
 
 
 #: Memoized batch outcomes kept per MMU (FIFO eviction).  Steady-state
@@ -166,13 +161,14 @@ class Mmu:
         self.ept = ept
         self.host_mem = host_mem
         self.pml = pml
+        if walk_cache is None:
+            walk_cache = env_flag("REPRO_WALK_CACHE", True)
         #: Memoized fast-path batches, keyed on (pt.uid, tlb.uid, batch
         #: shape, write-mask kind); entries hold the three generation
         #: counters captured at memoization time plus the exact batch
         #: arrays and the written HPFNs.  ``None`` when disabled
         #: (REPRO_WALK_CACHE=0 or walk_cache=False).
-        enabled = _walk_cache_default() if walk_cache is None else walk_cache
-        self._cache: dict | None = {} if enabled else None
+        self._cache: dict | None = {} if walk_cache else None
         #: Memoized plan segments (see :meth:`access_segment`).
         self._plan_cache: dict = {}
         #: Written HPFNs of the most recent fast-path/replay batch; None

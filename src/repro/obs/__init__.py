@@ -26,7 +26,6 @@ from repro.obs.trace import (
     TraceSession,
     activate,
     deactivate,
-    trace_enabled_by_env,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "TraceSession",
     "activate",
     "deactivate",
-    "trace_enabled_by_env",
 ]

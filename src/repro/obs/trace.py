@@ -25,9 +25,9 @@ clock, page tables, or buffers, which
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
+from repro.config import env_flag
 from repro.obs.events import EventKind, TraceEvent
 from repro.obs.metrics import MetricsRegistry
 
@@ -37,17 +37,11 @@ __all__ = [
     "TraceSession",
     "activate",
     "deactivate",
-    "trace_enabled_by_env",
 ]
 
 #: Buffer cap for the env-activated default session: large enough to hold
 #: any single test's stream, bounded so a full suite cannot exhaust RAM.
 ENV_SESSION_CAPACITY = 1 << 16
-
-
-def trace_enabled_by_env() -> bool:
-    """Process-wide default (``REPRO_TRACE=1`` opts in; default off)."""
-    return os.environ.get("REPRO_TRACE", "0") not in ("0", "false", "no", "")
 
 
 class TraceBuffer:
@@ -177,5 +171,5 @@ class _Activation:
 # REPRO_TRACE=1 arms a default session at interpreter start so the whole
 # test suite exercises the seams (CI matrix leg); the buffer is bounded
 # and per-test sessions shadow it via the activation stack.
-if trace_enabled_by_env():  # pragma: no cover - exercised by the CI leg
+if env_flag("REPRO_TRACE", False):  # pragma: no cover - exercised by the CI leg
     ACTIVE = TraceSession(capacity=ENV_SESSION_CAPACITY)

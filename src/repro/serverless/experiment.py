@@ -8,16 +8,15 @@ asserted identical across modes — the byte-exact diff filter makes the
 merged image a pure function of the schedule, so a digest mismatch means
 a tracker dropped dirty pages.
 
-Configured via the environment (CLI: ``--instances``):
-``REPRO_SERVERLESS_INSTANCES`` / ``REPRO_SERVERLESS_TENANTS`` /
-``REPRO_SERVERLESS_PAGES`` / ``REPRO_SERVERLESS_SEED`` /
-``REPRO_SERVERLESS_MODES`` (comma-separated).
+The instance count is ``RunConfig.serverless_instances`` (CLI
+``--instances``); tenants, region size and seed are the
+:class:`~repro.serverless.driver.ServerlessConfig` defaults, and the
+compared modes are :data:`MODES`.
 """
 
 from __future__ import annotations
 
-import os
-
+from repro.config import RunConfig
 from repro.errors import WorkloadError
 from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.serverless.driver import (
@@ -28,20 +27,15 @@ from repro.serverless.driver import (
 
 __all__ = ["exp_serverless", "serverless_result"]
 
-DEFAULT_MODES = "oracle,epml,spml,proc"
+#: The tracking modes whose merged snapshots are compared.
+MODES = ("oracle", "epml", "spml", "proc")
 
 
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, str(default)))
-
-
-def serverless_result(
-    mode: str, cfg: ServerlessConfig, n_vcpus: int | None = None
-) -> ServerlessRunResult:
+def serverless_result(mode: str, cfg: ServerlessConfig) -> ServerlessRunResult:
     """One memo-cached serverless run (fresh stack per run)."""
     from repro.experiments.harness import _default_n_vcpus, build_stack
 
-    vcpus = n_vcpus if n_vcpus is not None else _default_n_vcpus()
+    vcpus = _default_n_vcpus()
     key = (
         "serverless",
         mode,
@@ -63,25 +57,13 @@ def serverless_result(
     return EXPERIMENT_CACHE.get_or_run(key, _run)
 
 
-def exp_serverless(quick: bool = False):
+def exp_serverless(config: RunConfig):
     """Registry entry: the churn comparison rendered as a table."""
     from repro.experiments.runner import ExperimentOutput
     from repro.experiments.tables import fmt_ms, render_table
 
-    modes = [
-        m.strip()
-        for m in os.environ.get("REPRO_SERVERLESS_MODES", DEFAULT_MODES).split(",")
-        if m.strip()
-    ]
-    cfg = ServerlessConfig(
-        n_instances=_env_int(
-            "REPRO_SERVERLESS_INSTANCES", 80 if quick else 400
-        ),
-        n_tenants=_env_int("REPRO_SERVERLESS_TENANTS", 4),
-        region_pages=_env_int("REPRO_SERVERLESS_PAGES", 64),
-        seed=_env_int("REPRO_SERVERLESS_SEED", 1234),
-    )
-    results = {m: serverless_result(m, cfg) for m in modes}
+    cfg = ServerlessConfig(n_instances=config.serverless_instances)
+    results = {m: serverless_result(m, cfg) for m in MODES}
     digests = {r.combined_digest for r in results.values()}
     if len(digests) != 1:
         raise WorkloadError(

@@ -1,7 +1,9 @@
 """Tests for the shared experiment memo-cache."""
 
 import numpy as np
+import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.cache import EXPERIMENT_CACHE, MemoCache
 from repro.experiments.harness import run_boehm, run_criu, run_microbench
 
@@ -48,6 +50,15 @@ def test_memocache_env_toggle(monkeypatch):
     assert not cache.enabled
     monkeypatch.delenv("REPRO_EXPERIMENT_CACHE")
     assert cache.enabled
+    for raw, expected in [("False", False), (" No ", False), ("YES", True),
+                          ("true", True), ("", True)]:
+        monkeypatch.setenv("REPRO_EXPERIMENT_CACHE", raw)
+        assert cache.enabled is expected, raw
+    # A value no switch spells must not silently leave the cache on.
+    for raw in ("off", "disabled", "2"):
+        monkeypatch.setenv("REPRO_EXPERIMENT_CACHE", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_EXPERIMENT_CACHE"):
+            cache.enabled
 
 
 def test_memocache_clear():

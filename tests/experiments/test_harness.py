@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.tracking import Technique
+from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     build_stack,
     run_boehm,
@@ -16,6 +17,18 @@ def test_build_stack_defaults():
     stack = build_stack(vm_mb=64)
     assert stack.vm.mem_pages == 64 * 256
     assert stack.kernel.vm is stack.vm
+
+
+def test_build_stack_vcpus_from_env(monkeypatch):
+    monkeypatch.setenv("REPRO_VCPUS", "2")
+    assert len(build_stack(vm_mb=8).vm.vcpus) == 2
+    monkeypatch.setenv("REPRO_VCPUS", "")
+    assert len(build_stack(vm_mb=8).vm.vcpus) == 1
+    # Rejected before any VM is built, naming the variable.
+    for raw in ("abc", "0", "-1", "1.5"):
+        monkeypatch.setenv("REPRO_VCPUS", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_VCPUS"):
+            build_stack(vm_mb=8)
 
 
 def test_microbench_oracle_has_zero_overhead():

@@ -1,7 +1,10 @@
 """Tests for the experiment registry (quick mode)."""
 
+import os
+
 import pytest
 
+from repro.config import RunConfig
 from repro.experiments.runner import (
     EXPERIMENT_FAMILIES,
     EXPERIMENTS,
@@ -10,6 +13,8 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.tables import fmt_ms, fmt_pct, render_table
+
+QUICK = RunConfig(quick=True)
 
 
 def test_registry_covers_every_table_and_figure():
@@ -27,7 +32,7 @@ def test_unknown_experiment_rejected():
 
 @pytest.mark.parametrize("name", ["table1", "table6", "fig3", "fig4"])
 def test_quick_experiments_produce_tables(name):
-    out = run_experiment(name, quick=True)
+    out = run_experiment(name, QUICK)
     assert isinstance(out, ExperimentOutput)
     assert out.rows
     assert out.headers
@@ -36,7 +41,7 @@ def test_quick_experiments_produce_tables(name):
 
 
 def test_table4_accuracy_in_quick_mode():
-    out = run_experiment("table4", quick=True)
+    out = run_experiment("table4", QUICK)
     for row in out.rows:
         assert float(row[3]) > 90.0
         assert float(row[6]) > 90.0
@@ -45,7 +50,7 @@ def test_table4_accuracy_in_quick_mode():
 def test_table5_pinned_quick_values():
     """Pin the quick-mode Table Vb rows: the per-metric normalization must
     not drift (guards the dead-code cleanup and the fused MMU rewrite)."""
-    out = run_experiment("table5", quick=True)
+    out = run_experiment("table5", QUICK)
     assert out.rows == [
         ["m15_clear_refs", "0.0", "0.1", "0.3", "2.234"],
         ["m16_pt_walk_user", "2.0", "14.5", "82.3", "594.187"],
@@ -69,17 +74,55 @@ def test_experiment_families_partition_registry():
 
 
 def test_cli_jobs_output_matches_serial(capsys):
-    """--jobs must not change output content or ordering."""
-    assert main(["all", "--quick"]) == 0
+    """--jobs must not change output content or ordering, and workers get
+    the non-default configuration by argument (main sets no env var)."""
+    argv = ["all", "--quick", "--hosts", "4", "--vms", "4",
+            "--instances", "120", "--overcommit-ratio", "1.0,2.5"]
+    assert main(argv) == 0
     serial = capsys.readouterr().out
-    assert main(["all", "--quick", "--jobs", "4"]) == 0
+    assert "(4 hosts, seed 7)" in serial
+    assert "Serverless churn: 120 instances" in serial
+    assert main(argv + ["--jobs", "4"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == serial
 
 
-def test_cli_rejects_bad_jobs():
-    with pytest.raises(SystemExit):
-        main(["table6", "--jobs", "0"])
+def _assert_rejected(monkeypatch, capsys, experiment, flags, field):
+    """``main`` exits 2 naming ``field`` and never calls the experiment."""
+    def boom(config):
+        raise AssertionError(f"{experiment} ran despite a bad configuration")
+
+    monkeypatch.setitem(EXPERIMENTS, experiment, boom)
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--quick", *flags])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_jobs(monkeypatch, capsys):
+    _assert_rejected(monkeypatch, capsys, "table6", ["--jobs", "0"], "--jobs")
+
+
+@pytest.mark.parametrize(
+    "experiment, flags, field",
+    [
+        ("fleet", ["--hosts", "1"], "fleet_hosts"),
+        ("fleet", ["--vms", "0"], "fleet_vms"),
+        ("serverless", ["--instances", "0"], "serverless_instances"),
+        ("overcommit", ["--overcommit-ratio", "0.5"], "overcommit_ratios"),
+        ("overcommit", ["--overcommit-ratio", "abc"], "overcommit_ratios"),
+        ("overcommit", ["--overcommit-ratio", ","], "overcommit_ratios"),
+    ],
+)
+def test_cli_rejects_bad_config(monkeypatch, capsys, experiment, flags, field):
+    _assert_rejected(monkeypatch, capsys, experiment, flags, field)
+
+
+def test_cli_leaves_environment_unchanged(capsys):
+    before = dict(os.environ)
+    assert main(["fleet", "--quick", "--hosts", "4", "--vms", "4"]) == 0
+    capsys.readouterr()
+    assert dict(os.environ) == before
 
 
 def test_cli_metrics_prints_registry(capsys):

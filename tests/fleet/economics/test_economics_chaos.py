@@ -6,8 +6,6 @@ must stay complete (every missed page surfaced by a counter, none lost
 silently), and guest memory contents must survive every cycle.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -15,12 +13,11 @@ from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.core.tracking import Technique, make_tracker
 from repro.errors import OutOfFramesError
-from repro.experiments.faultmatrix import chaos_plan
+from repro.experiments.faultmatrix import CHAOS_SEED, chaos_plan
 from repro.faults.auditor import CompletenessAuditor
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.fleet.host import Host, VmSpec
 
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
 
 def build(ratio: float = 2.0):

@@ -79,11 +79,11 @@ def test_registered_in_runner():
     assert ["overcommit"] in EXPERIMENT_FAMILIES
 
 
-def test_exp_overcommit_renders_frontier(monkeypatch):
-    monkeypatch.setenv("REPRO_OVERCOMMIT_RATIOS", "1.0,2.0")
+def test_exp_overcommit_renders_frontier():
+    from repro.config import RunConfig
     from repro.fleet.economics.experiment import exp_overcommit
 
-    out = exp_overcommit(quick=True)
+    out = exp_overcommit(RunConfig(quick=True, overcommit_ratios=(1.0, 2.0)))
     assert out.experiment == "overcommit"
     assert [row[0] for row in out.rows] == ["1.0", "2.0"]
     assert "refault/1k" in out.headers

@@ -6,18 +6,16 @@ Three guarantees:
   chaos leg exercises them alongside the tracking faults);
 * a migration under drop/spike/partition faults still completes with
   destination integrity, surfaces its retransmissions, and is
-  bit-deterministic for a fixed ``REPRO_CHAOS_SEED``;
+  bit-deterministic for the fixed ``CHAOS_SEED``;
 * a dirty-page tracker audited by the :class:`CompletenessAuditor`
   through a whole orchestrated migration under full chaos never loses a
   page silently.
 """
 
-import os
-
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.core.tracking import Technique, make_tracker
-from repro.experiments.faultmatrix import chaos_plan
+from repro.experiments.faultmatrix import CHAOS_SEED, chaos_plan
 from repro.faults.auditor import CompletenessAuditor
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.fleet.host import Host, VmSpec
@@ -25,7 +23,6 @@ from repro.fleet.orchestrator import MigrationOrchestrator, MigrationPolicy
 from repro.net.link import Link
 from repro.net.transport import Transport
 
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
 SPEC = VmSpec(
     name="vm0",

@@ -10,6 +10,7 @@ replay so dirty 0->1 transitions are never swallowed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,10 +196,26 @@ def test_replay_is_exact_about_batch_content():
 
 
 def test_walk_cache_env_gate(monkeypatch):
-    from repro.hw.mmu import Mmu, _walk_cache_default
+    from repro.errors import ConfigurationError
+    from repro.hw.mmu import Mmu
 
+    vm = build_stack(vm_mb=8).vm
+
+    def cached() -> bool:
+        return Mmu(vm.ept, vm.mmu.host_mem, vm.vcpu.pml)._cache is not None
+
+    for raw, expected in [("0", False), ("False", False), ("NO", False),
+                          ("1", True), ("TRUE", True), ("yes", True),
+                          ("", True)]:
+        monkeypatch.setenv("REPRO_WALK_CACHE", raw)
+        assert cached() is expected, raw
+    for raw in ("off", "2", "enabled"):
+        monkeypatch.setenv("REPRO_WALK_CACHE", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_WALK_CACHE"):
+            cached()
+    monkeypatch.delenv("REPRO_WALK_CACHE")
+    assert cached() is True
     monkeypatch.setenv("REPRO_WALK_CACHE", "0")
-    assert _walk_cache_default() is False
     stack = build_stack(vm_mb=8)
     assert stack.vm.mmu._cache is None
     monkeypatch.setenv("REPRO_WALK_CACHE", "1")

@@ -6,6 +6,7 @@ same collected pages).  Emission is pure observation."""
 
 import numpy as np
 
+from repro.config import env_flag
 from repro.core.tracking import Technique, make_tracker
 from repro.experiments.harness import build_stack
 from repro.obs import trace as otr
@@ -61,7 +62,7 @@ def test_active_session_is_bit_identical():
 def test_no_session_emits_nothing():
     """Without activation the module global stays None (unless the
     REPRO_TRACE env leg armed a process-wide session at import)."""
-    if otr.trace_enabled_by_env():
+    if env_flag("REPRO_TRACE", False):
         assert otr.ACTIVE is not None
     else:
         assert otr.ACTIVE is None

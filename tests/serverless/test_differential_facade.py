@@ -4,16 +4,15 @@
 and leave the whole simulated machine in a bit-identical state — to
 driving technique X directly, for every registered mode, with and
 without the MMU walk cache, and under the chaos leg (fault injection
-seeded by ``REPRO_CHAOS_SEED``).  Each scenario runs the same fixed
+seeded by ``faultmatrix.CHAOS_SEED``).  Each scenario runs the same fixed
 script twice on fresh stacks differing only in facade-vs-direct.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.core.tracking import available_modes, make_tracker
+from repro.experiments.faultmatrix import CHAOS_SEED
 from repro.experiments.harness import build_stack
 from repro.faults.auditor import CompletenessAuditor
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
@@ -22,7 +21,6 @@ from repro.serverless.tracker import UnifiedDirtyTracker
 N_PAGES = 128
 ROUNDS = 3
 MODES = available_modes()
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
 CHAOS = [
     FaultSpec(FaultSite.PML_ENTRY_DROP, 0.25),
