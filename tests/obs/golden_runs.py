@@ -31,13 +31,16 @@ ROUNDS = 3
 SEED = 7
 
 
-def canonical_run(technique: str, n_vcpus: int = 1) -> otr.TraceSession:
-    """Run the frozen scenario for ``technique``; return its session."""
+def canonical_run(
+    technique: str, n_vcpus: int = 1, session: otr.TraceSession | None = None
+) -> otr.TraceSession:
+    """Run the frozen scenario for ``technique`` into ``session`` (a fresh
+    default one when None); return the session."""
     stack = build_stack(vm_mb=16, pml_buffer_entries=32, n_vcpus=n_vcpus)
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     rng = np.random.default_rng(SEED)
-    session = otr.TraceSession()
+    session = session if session is not None else otr.TraceSession()
     with session.active():
         stack.kernel.access(proc, np.arange(N_PAGES), True)
         tracker = make_tracker(technique, stack.kernel, proc)
