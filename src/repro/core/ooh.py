@@ -84,6 +84,12 @@ class CollectStats:
     n_lost_vmexits: int = 0  # PML-full vmexits dropped since attach
     resynced: bool = False  # result includes the whole mapped set
 
+    def event_fields(self) -> dict:
+        """COLLECT_STATS event fields: each count an int, ``resynced`` a bool."""
+        out = {name: int(value) for name, value in vars(self).items()}
+        out["resynced"] = bool(self.resynced)
+        return out
+
 
 class OohAttachment:
     """One tracked process; created via :meth:`OohModule.attach`."""
@@ -562,7 +568,6 @@ class OohModule:
                 lost=int(lost),
                 n_mapped=int(mapped.size),
             )
-            otr.ACTIVE.metrics.inc("resync.conservative")
         return np.union1d(vpns, mapped).astype(np.int64)
 
     def _conservative_resync(self, att: OohAttachment) -> np.ndarray:

@@ -133,7 +133,6 @@ class RingBuffer:
     def _trace_drop(n: int, cause: str) -> None:
         if otr.ACTIVE is not None:
             otr.ACTIVE.emit(EventKind.RING_DROP, n=int(n), cause=cause)
-            otr.ACTIVE.metrics.inc(f"ring.dropped.{cause}", int(n))
 
     def pop_all(self) -> np.ndarray:
         """Drain the buffer, returning entries in FIFO order."""

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.ooh import OohAttachment, OohKind, OohLib, OohModule
 from repro.core.tracking import DirtyPageTracker, Technique, register_technique
 from repro.obs import trace as otr
-from repro.obs.events import emit_collect_stats
+from repro.obs.events import EventKind
 
 __all__ = ["EpmlTracker"]
 
@@ -44,8 +44,10 @@ class EpmlTracker(DirtyPageTracker):
         assert self._att is not None
         out = self._lib.fetch(self._att)
         if otr.ACTIVE is not None:
-            emit_collect_stats(
-                otr.ACTIVE, self.technique.value, self._att.last_stats
+            otr.ACTIVE.emit(
+                EventKind.COLLECT_STATS,
+                technique=self.technique.value,
+                **self._att.last_stats.event_fields(),
             )
         return out
 

@@ -126,7 +126,6 @@ class FallbackTracker(DirtyPageTracker):
                 EventKind.FALLBACK_TRANSITION,
                 **{"from": old.value, "to": new.value, "reason": reason},
             )
-            otr.ACTIVE.metrics.inc("fallback.transitions")
         self._consecutive_failures = 0
         return True
 

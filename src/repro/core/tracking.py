@@ -82,8 +82,6 @@ class DirtyPageTracker(abc.ABC):
                 # it against the WRITE events that preceded this collect.
                 fields["vpns"] = [int(x) for x in np.sort(out)]
             s.emit(EventKind.COLLECT, **fields)
-            s.metrics.inc(f"collect.{self.technique.value}")
-            s.metrics.observe("collect.n_vpns", int(out.size))
         return out
 
     def stop(self) -> None:

@@ -14,17 +14,15 @@ hardware modules import this package at interpreter start, and the
 auditor pulls in the tracking stack, which would cycle back into them.
 """
 
-from repro.faults.injector import ACTIVE, FaultInjector, activate, deactivate
+from repro.faults.injector import FaultInjector, activate
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 
 __all__ = [
-    "ACTIVE",
     "FaultInjector",
     "FaultPlan",
     "FaultSite",
     "FaultSpec",
     "activate",
-    "deactivate",
     "CompletenessAuditor",
     "CompletenessViolation",
     "AuditReport",

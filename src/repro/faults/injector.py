@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec, site_seed
 
-__all__ = ["ACTIVE", "FaultInjector", "activate", "deactivate"]
+__all__ = ["ACTIVE", "FaultInjector", "activate"]
 
 #: The process-wide active injector; ``None`` means fault injection is off
 #: and every hooked seam behaves exactly as on main.
@@ -33,11 +33,6 @@ def activate(inj: "FaultInjector | None") -> "FaultInjector | None":
     prev = ACTIVE
     ACTIVE = inj
     return prev
-
-
-def deactivate() -> None:
-    global ACTIVE
-    ACTIVE = None
 
 
 class _SiteState:

@@ -169,7 +169,6 @@ class BalloonDriver:
                 n_pages=int(victims.size),
                 ballooned=len(self._held_gpfns),
             )
-            otr.ACTIVE.metrics.inc("economics.reclaimed_pages", int(victims.size))
         return int(victims.size)
 
     # -- refault (deflate) ---------------------------------------------
@@ -223,9 +222,6 @@ class BalloonDriver:
                         vm=self.fvm.name,
                         n_pages=int(arr.size),
                     )
-                    otr.ACTIVE.metrics.inc(
-                        "economics.refault_pages", int(arr.size)
-                    )
         finally:
             self._inflight[vpns] = False
 
@@ -273,7 +269,6 @@ class BalloonDriver:
                 vm=self.fvm.name,
                 n_pages=int(vpns.size),
             )
-            otr.ACTIVE.metrics.inc("economics.refault_pages", int(vpns.size))
         return int(vpns.size)
 
     def close(self) -> None:

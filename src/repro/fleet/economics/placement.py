@@ -50,7 +50,6 @@ def choose_host(
             wss_pages=wss,
             free_pages=int(best.free_pages),
         )
-        otr.ACTIVE.metrics.inc(f"fleet.host.{best.host_id}.placements")
     return best
 
 

@@ -215,7 +215,6 @@ class HostEconomics:
                 n_pages=freed,
                 free_pages=int(self.host.free_pages),
             )
-            otr.ACTIVE.metrics.inc("economics.pressure_reclaims")
         if freed:
             self.n_pressure_events += 1
         return freed

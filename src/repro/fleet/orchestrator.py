@@ -302,7 +302,6 @@ class MigrationOrchestrator:
                 wss_pages=int(fvm.last_wss_pages),
                 free_pages=int(best.free_pages),
             )
-            otr.ACTIVE.metrics.inc(f"fleet.host.{best.host_id}.placements")
         return best
 
     # -- migration -----------------------------------------------------
@@ -469,7 +468,6 @@ class MigrationOrchestrator:
                 missing_pages=int(missing.size),
                 flow=st.flow.flow_id,
             )
-            otr.ACTIVE.metrics.inc("fleet.postcopy_fallbacks")
 
     def _verify_integrity(self, st: _MigrationState) -> bool:
         """Destination memory equals the paused source, except pages the

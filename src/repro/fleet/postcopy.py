@@ -122,7 +122,6 @@ class PostCopyDestination:
                     flow=self.flow.flow_id,
                     n_pages=n_pull,
                 )
-                otr.ACTIVE.metrics.inc("postcopy.pulled_pages", n_pull)
         have = vpns[self._has_token[vpns]]
         if have.size:
             self.kernel.vm.mmu.write_page_contents(

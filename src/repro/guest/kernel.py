@@ -315,8 +315,6 @@ class GuestKernel:
                 targets=targets,
                 n_vpns=int(vpns.size),
             )
-            otr.ACTIVE.metrics.inc("tlb.shootdowns")
-            otr.ACTIVE.metrics.inc("tlb.shootdown_ipis", len(targets))
         return len(targets)
 
     def tlb_flush_all(self, process: Process) -> int:
@@ -340,8 +338,6 @@ class GuestKernel:
                 targets=targets,
                 n_vpns=-1,
             )
-            otr.ACTIVE.metrics.inc("tlb.shootdowns")
-            otr.ACTIVE.metrics.inc("tlb.shootdown_ipis", len(targets))
         return len(targets)
 
     # ------------------------------------------------------------------

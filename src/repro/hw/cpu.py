@@ -103,16 +103,9 @@ class Vcpu:
             raise VmcsError(f"no handler installed for vmexit {reason}")
         self.n_vmexits += 1
         if otr.ACTIVE is not None:
-            # Emitted exactly when the metric counter moves, so "vmexit
-            # events in the trace == vmexit counts in the metrics" is a
-            # checkable invariant, not a coincidence.
             otr.ACTIVE.emit(
                 EventKind.VMEXIT, reason=reason.value, vcpu_id=self.vcpu_id
             )
-            otr.ACTIVE.metrics.inc(f"vmexit.{reason.value}")
-            # Per-vCPU dimension (prefix deliberately NOT "vmexit." — the
-            # metrics==trace invariant matches that prefix exactly).
-            otr.ACTIVE.metrics.inc(f"vcpu.{self.vcpu_id}.vmexit.{reason.value}")
         self.clock.charge(
             self.costs.params.vmexit_roundtrip_us,
             World.HYPERVISOR,

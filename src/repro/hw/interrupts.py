@@ -79,7 +79,6 @@ class InterruptController:
                         outcome="lost",
                         vcpu_id=self.vcpu_id,
                     )
-                    otr.ACTIVE.metrics.inc("self_ipi.lost")
                 return False
             if finj.ACTIVE.should_fire(FaultSite.DELAYED_SELF_IPI):
                 self.n_delayed += 1
@@ -91,7 +90,6 @@ class InterruptController:
                         outcome="delayed",
                         vcpu_id=self.vcpu_id,
                     )
-                    otr.ACTIVE.metrics.inc("self_ipi.delayed")
                 return False
         if self._delayed:
             self.flush_delayed()
@@ -121,14 +119,12 @@ class InterruptController:
         )
         handler = self._handlers.get(vector)
         if otr.ACTIVE is not None:
-            outcome = "delivered" if handler is not None else "unhandled"
             otr.ACTIVE.emit(
                 EventKind.SELF_IPI,
                 vector=vector,
-                outcome=outcome,
+                outcome="delivered" if handler is not None else "unhandled",
                 vcpu_id=self.vcpu_id,
             )
-            otr.ACTIVE.metrics.inc(f"self_ipi.{outcome}")
         if handler is None:
             return False
         handler(vector)

@@ -235,8 +235,6 @@ class Mmu:
                 written = v if w is None else v[w]
                 fields["vpns"] = [int(x) for x in np.unique(written)]
             s.emit(EventKind.WRITE, **fields)
-            s.metrics.inc("mmu.write_batches")
-            s.metrics.inc("mmu.writes", res.n_writes)
         return self._resolve(pt, tlb, v, w, wbool, handlers, res, pml)
 
     def _resolve(self, pt: PageTable, tlb: Tlb, v, w, wbool, handlers, res, pml):
@@ -546,8 +544,6 @@ class Mmu:
                     n_accesses=na,
                     vcpu_id=pml.vcpu_id,
                 )
-                s.metrics.inc("mmu.write_batches")
-                s.metrics.inc("mmu.writes", nw)
             results.append(MmuResult(n_accesses=na, n_writes=nw))
         if run is not None:
             self.host_mem.write_trusted_run(*run)

@@ -158,7 +158,6 @@ class PmlCircuit:
                     n=dropped,
                     vcpu_id=self.vcpu_id,
                 )
-                otr.ACTIVE.metrics.inc("pml.hyp.injected_drops", dropped)
             values = kept
         self.n_hyp_logged += int(len(values))
         self._fill(self.hyp_buffer, values, self._raise_hyp_full)
@@ -183,7 +182,6 @@ class PmlCircuit:
                     n=dropped,
                     vcpu_id=self.vcpu_id,
                 )
-                otr.ACTIVE.metrics.inc("pml.guest.injected_drops", dropped)
             values = kept
         self.n_guest_logged += int(len(values))
         self._fill(self.guest_buffer, values, self._raise_guest_full)
@@ -216,11 +214,6 @@ class PmlCircuit:
                 handled=self.on_hyp_full is not None,
                 vcpu_id=self.vcpu_id,
             )
-            otr.ACTIVE.metrics.inc("pml.hyp.full_events")
-            otr.ACTIVE.metrics.inc(f"pml.vcpu.{self.vcpu_id}.hyp.full_events")
-            otr.ACTIVE.metrics.observe(
-                "pml.occupancy_at_flush", self.hyp_buffer.n_logged
-            )
         batch = self.hyp_buffer.drain()
         if self.on_hyp_full is None:
             self.n_hyp_dropped += int(len(batch))
@@ -232,7 +225,6 @@ class PmlCircuit:
                     n=int(len(batch)),
                     vcpu_id=self.vcpu_id,
                 )
-                otr.ACTIVE.metrics.inc("pml.hyp.dropped", int(len(batch)))
         else:
             self.on_hyp_full(batch)
 
@@ -247,11 +239,6 @@ class PmlCircuit:
                 handled=self.on_guest_full is not None,
                 vcpu_id=self.vcpu_id,
             )
-            otr.ACTIVE.metrics.inc("pml.guest.full_events")
-            otr.ACTIVE.metrics.inc(f"pml.vcpu.{self.vcpu_id}.guest.full_events")
-            otr.ACTIVE.metrics.observe(
-                "pml.occupancy_at_flush", self.guest_buffer.n_logged
-            )
         batch = self.guest_buffer.drain()
         if self.on_guest_full is None:
             self.n_guest_dropped += int(len(batch))
@@ -263,7 +250,6 @@ class PmlCircuit:
                     n=int(len(batch)),
                     vcpu_id=self.vcpu_id,
                 )
-                otr.ACTIVE.metrics.inc("pml.guest.dropped", int(len(batch)))
         else:
             self.on_guest_full(batch)
 

@@ -100,7 +100,6 @@ class Tlb:
                 n_cached=int(self._cached.sum()),
                 vcpu_id=self.vcpu_id,
             )
-            otr.ACTIVE.metrics.inc("tlb.flushes")
         self._cached[:] = False
         self.n_flushes += 1
         self.generation += 1

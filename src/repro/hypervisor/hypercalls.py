@@ -87,7 +87,6 @@ class HypercallTable:
                     outcome="eagain",
                     vcpu_id=vcpu_id,
                 )
-                otr.ACTIVE.metrics.inc(f"hypercall.{nr:#x}.eagain")
             # The guest already paid the hypercall entry cost; the call
             # bounces with a retryable errno, exactly like Xen's -EAGAIN.
             raise HypercallError(
@@ -96,14 +95,12 @@ class HypercallTable:
             )
         handler = self._handlers.get(nr)
         if otr.ACTIVE is not None:
-            outcome = "dispatched" if handler is not None else "unknown"
             otr.ACTIVE.emit(
                 EventKind.HYPERCALL,
                 nr=f"{nr:#x}",
-                outcome=outcome,
+                outcome="dispatched" if handler is not None else "unknown",
                 vcpu_id=vcpu_id,
             )
-            otr.ACTIVE.metrics.inc(f"hypercall.{nr:#x}.{outcome}")
         if handler is None:
             raise HypercallError(f"unknown hypercall {nr:#x}")
         return handler(*args)

@@ -135,8 +135,6 @@ class LiveMigration:
         if otr.ACTIVE is not None:
             otr.ACTIVE.emit(EventKind.MIGRATION_ROUND, n_pages=int(n_pages))
             otr.ACTIVE.emit(EventKind.MIGRATION_PAGE_SEND, n_pages=int(n_pages))
-            otr.ACTIVE.metrics.inc("migration.rounds")
-            otr.ACTIVE.metrics.inc("migration.pages_sent", int(n_pages))
         return self.sender.send(int(n_pages))
 
     def _harvest(self, report: MigrationReport) -> np.ndarray:

@@ -163,11 +163,6 @@ class Transport:
                 retransmitted=retrans,
                 spiked=bool(spiked),
             )
-            otr.ACTIVE.metrics.inc("net.sends")
-            otr.ACTIVE.metrics.inc(f"net.flow.{flow.flow_id}.pages", n_pages)
-            otr.ACTIVE.metrics.inc(f"net.link.{flow.link.name}.pages", n_pages)
-            if retrans:
-                otr.ACTIVE.metrics.inc("net.retransmitted_pages", retrans)
         return us
 
 

@@ -3,11 +3,12 @@
 The subsystem has three parts, modeled on :mod:`repro.faults`:
 
 * :mod:`repro.obs.events` — the typed event taxonomy (vmexit, pml_full,
-  self_ipi, hypercall, retry, fallback_transition, tlb_flush, ring_drop,
-  migration_round, write, collect, resync);
+  self_ipi, hypercall, retry, ... 28 kinds) and ``EVENT_METRICS``, the
+  one table saying which counters and histograms each kind feeds;
 * :mod:`repro.obs.trace` — the session registry the instrumented seams
-  consult (``tracing.ACTIVE is None`` when disabled, so the hooks are
-  free) plus deterministic JSONL export;
+  consult (``trace.ACTIVE is None`` when disabled, so the hooks are
+  free), the single emit path that records an event and applies its
+  row, and deterministic JSONL export;
 * :mod:`repro.obs.metrics` — counters and histograms aggregated
   alongside the trace (vmexit counts by reason, PML occupancy at flush,
   retry attempts), surfaced by ``experiments/runner.py --metrics``.
@@ -20,16 +21,9 @@ and the property tests assert sequence invariants over randomized ones
 
 from repro.obs.events import EventKind, TraceEvent
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import (
-    ACTIVE,
-    TraceBuffer,
-    TraceSession,
-    activate,
-    deactivate,
-)
+from repro.obs.trace import TraceBuffer, TraceSession, activate
 
 __all__ = [
-    "ACTIVE",
     "EventKind",
     "Histogram",
     "MetricsRegistry",
@@ -37,5 +31,4 @@ __all__ = [
     "TraceEvent",
     "TraceSession",
     "activate",
-    "deactivate",
 ]

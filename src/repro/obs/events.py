@@ -1,4 +1,4 @@
-"""Typed trace events: the observability layer's vocabulary.
+"""Typed trace events and the metrics each one feeds.
 
 Every instrumented seam emits one of these kinds.  The taxonomy mirrors
 the simulator's architectural boundaries (DESIGN.md §8): hardware
@@ -10,6 +10,12 @@ Events are deterministic by construction: fields carry only simulated
 state (page numbers, counters, reasons), never host time or object
 identities, so a run's event stream is a stable, diffable artifact —
 the property the golden-trace tests rely on.
+
+:data:`EVENT_METRICS` holds one row per kind: the counters and
+histograms the event feeds, as name templates over its fields.
+:meth:`~repro.obs.trace.TraceSession.emit` applies the row, so a seam
+names no metric of its own and the trace and the counters cannot
+disagree.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-__all__ = ["EventKind", "TraceEvent", "emit_collect_stats"]
+__all__ = ["Count", "EVENT_METRICS", "EventKind", "Observe", "TraceEvent"]
 
 
 class EventKind(enum.Enum):
@@ -108,27 +115,87 @@ class TraceEvent:
         return TraceEvent(seq=int(seq), kind=kind, fields=obj)
 
 
-#: CollectStats fields mirrored into COLLECT_STATS events.  Declared here
-#: (duck-typed) rather than importing the dataclass: ``core.ooh`` imports
-#: the obs package, so the dependency must stay one-directional.
-_COLLECT_STAT_FIELDS = (
-    "n_entries",
-    "n_vpns",
-    "n_unresolved",
-    "dropped",
-    "n_resyncs",
-    "n_retries",
-    "n_recovered_ipis",
-    "n_lost_vmexits",
-)
+class Count(NamedTuple):
+    """Counter ``name.format_map(fields)`` += the ``by`` field, ``by(fields)``
+    when ``by`` is a function, or 1 when None; only if ``when(fields)`` holds."""
+
+    name: str
+    by: str | Callable[[dict], int] | None = None
+    when: Callable[[dict], bool] | None = None
+
+    def feed(self, metrics, fields: dict) -> None:
+        if self.when is None or self.when(fields):
+            by = self.by
+            n = 1 if by is None else by(fields) if callable(by) else fields[by]
+            metrics.inc(self.name.format_map(fields), n)
 
 
-def emit_collect_stats(session, technique: str, stats) -> None:
-    """Emit one COLLECT_STATS event mirroring an OoH ``CollectStats``."""
-    fields = {name: int(getattr(stats, name)) for name in _COLLECT_STAT_FIELDS}
-    fields["resynced"] = bool(stats.resynced)
-    session.emit(EventKind.COLLECT_STATS, technique=technique, **fields)
-    session.metrics.inc(f"collect_stats.{technique}.entries", fields["n_entries"])
-    session.metrics.observe(
-        f"collect_stats.{technique}.n_entries_dist", fields["n_entries"]
-    )
+class Observe(NamedTuple):
+    """Histogram ``name.format_map(fields)`` records the ``value`` field."""
+
+    name: str
+    value: str
+
+    def feed(self, metrics, fields: dict) -> None:
+        metrics.observe(self.name.format_map(fields), fields[self.value])
+
+
+#: Kind -> the metrics one event of that kind feeds.  Every kind has a
+#: row; an empty row means the event is trace-only.
+EVENT_METRICS: dict[EventKind, tuple[Count | Observe, ...]] = {
+    EventKind.VMEXIT: (
+        Count("vmexit.{reason}"), Count("vcpu.{vcpu_id}.vmexit.{reason}"),
+    ),
+    EventKind.PML_FULL: (
+        Count("pml.{level}.full_events"),
+        Count("pml.vcpu.{vcpu_id}.{level}.full_events"),
+        Observe("pml.occupancy_at_flush", "occupancy"),
+    ),
+    EventKind.PML_DROP: (
+        Count("pml.{level}.injected_drops", "n", lambda f: f["cause"] == "injected"),
+        Count("pml.{level}.dropped", "n", lambda f: f["cause"] == "no_handler"),
+    ),
+    EventKind.SELF_IPI: (Count("self_ipi.{outcome}"),),
+    EventKind.HYPERCALL: (Count("hypercall.{nr}.{outcome}"),),
+    EventKind.RETRY: (Count("retry.attempts"),),
+    EventKind.FALLBACK_TRANSITION: (Count("fallback.transitions"),),
+    EventKind.TLB_FLUSH: (Count("tlb.flushes"),),
+    EventKind.TLB_SHOOTDOWN: (
+        Count("tlb.shootdowns"),
+        Count("tlb.shootdown_ipis", lambda f: len(f["targets"])),
+    ),
+    EventKind.RING_DROP: (Count("ring.dropped.{cause}", "n"),),
+    EventKind.MIGRATION_ROUND: (Count("migration.rounds"),),
+    EventKind.MIGRATION_PAGE_SEND: (Count("migration.pages_sent", "n_pages"),),
+    EventKind.MIGRATION_MODE: (Count("fleet.postcopy_fallbacks"),),
+    EventKind.NET_SEND: (
+        Count("net.sends"),
+        Count("net.flow.{flow}.pages", "n_pages"),
+        Count("net.link.{link}.pages", "n_pages"),
+        Count("net.retransmitted_pages", "retransmitted",
+              lambda f: f["retransmitted"] != 0),
+    ),
+    EventKind.NET_FAULT: (),
+    EventKind.POSTCOPY_PULL: (Count("postcopy.pulled_pages", "n_pages"),),
+    EventKind.FLEET_PLACEMENT: (Count("fleet.host.{host_id}.placements"),),
+    EventKind.WRITE: (Count("mmu.write_batches"), Count("mmu.writes", "n_writes")),
+    EventKind.COLLECT: (
+        Count("collect.{technique}"), Observe("collect.n_vpns", "n_vpns"),
+    ),
+    EventKind.COLLECT_STATS: (
+        Count("collect_stats.{technique}.entries", "n_entries"),
+        Observe("collect_stats.{technique}.n_entries_dist", "n_entries"),
+    ),
+    EventKind.RESYNC: (Count("resync.conservative"),),
+    EventKind.BALLOON_INFLATE: (Count("economics.reclaimed_pages", "n_pages"),),
+    EventKind.BALLOON_DEFLATE: (),
+    EventKind.BALLOON_REFAULT: (Count("economics.refault_pages", "n_pages"),),
+    EventKind.RECLAIM_PRESSURE: (Count("economics.pressure_reclaims"),),
+    EventKind.SNAPSHOT_MAP: (Count("snapshot.maps"),),
+    EventKind.SNAPSHOT_DIFF: (
+        Count("snapshot.diffs"), Observe("snapshot.diff_pages", "n_changed"),
+    ),
+    EventKind.SNAPSHOT_MERGE: (
+        Count("snapshot.merges"), Count("snapshot.pages_merged", "n_pages_applied"),
+    ),
+}

@@ -7,8 +7,9 @@ with sorted keys and integer/float values derived only from simulated
 state, so ``--metrics`` output is as diffable as the trace itself.
 
 Counter/histogram names are dot-paths (``vmexit.pml_full``,
-``pml.occupancy_at_flush``); seams own their names the way they own
-their ``EV_*`` clock event labels.
+``pml.occupancy_at_flush``).  They are declared once, per event kind, in
+:data:`repro.obs.events.EVENT_METRICS`; only the few counts no event
+carries are named at their seam (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -72,12 +73,10 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + n
 
-    def observe(
-        self, name: str, value: float, bounds: tuple[float, ...] = DEFAULT_BOUNDS
-    ) -> None:
+    def observe(self, name: str, value: float) -> None:
         hist = self._histograms.get(name)
         if hist is None:
-            hist = self._histograms[name] = Histogram(bounds)
+            hist = self._histograms[name] = Histogram()
         hist.observe(value)
 
     # ------------------------------------------------------------------

@@ -12,6 +12,10 @@ with::
     session.trace.to_jsonl()     # deterministic, diffable artifact
     session.metrics.snapshot()   # counters + histograms
 
+:meth:`TraceSession.emit` is the one emit path: it records the event and
+feeds its kind's :data:`~repro.obs.events.EVENT_METRICS` row, so counters
+stay exact however much of the trace is kept.
+
 Setting ``REPRO_TRACE=1`` in the environment activates a process-wide
 default session at import time (bounded buffer), which is how the CI
 matrix leg keeps every seam exercised by the full test suite.  Only one
@@ -28,16 +32,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.config import env_flag
-from repro.obs.events import EventKind, TraceEvent
+from repro.obs.events import EVENT_METRICS, EventKind, TraceEvent
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = [
-    "ACTIVE",
-    "TraceBuffer",
-    "TraceSession",
-    "activate",
-    "deactivate",
-]
+__all__ = ["ACTIVE", "TraceBuffer", "TraceSession", "activate"]
 
 #: Buffer cap for the env-activated default session: large enough to hold
 #: any single test's stream, bounded so a full suite cannot exhaust RAM.
@@ -107,9 +105,10 @@ class TraceBuffer:
 class TraceSession:
     """One trace buffer plus one metrics registry, emitted into together.
 
-    ``detail=False`` suppresses the per-page payloads (the WRITE/COLLECT
-    VPN lists), keeping long ``--metrics`` runs cheap while counters and
-    histograms stay exact; tests use the default ``detail=True``.
+    ``detail=False`` tells seams to leave out the per-page payloads (the
+    WRITE/COLLECT VPN lists, the SNAPSHOT_DIFF/MERGE offset lists),
+    keeping long ``--metrics`` runs cheap; no row reads them, so counters
+    and histograms stay exact.  Tests use the default ``detail=True``.
     """
 
     def __init__(
@@ -121,10 +120,12 @@ class TraceSession:
         self._next_seq = 0
 
     def emit(self, kind: EventKind, **fields: object) -> TraceEvent:
-        """Record one event; seq numbers are global to the session."""
+        """Record one event and feed its kind's metrics row; seq is global."""
         event = TraceEvent(seq=self._next_seq, kind=kind, fields=fields)
         self._next_seq += 1
         self.trace.append(event)
+        for metric in EVENT_METRICS[kind]:
+            metric.feed(self.metrics, fields)
         return event
 
     @property
@@ -146,11 +147,6 @@ def activate(session: TraceSession | None) -> TraceSession | None:
     prev = ACTIVE
     ACTIVE = session
     return prev
-
-
-def deactivate() -> None:
-    global ACTIVE
-    ACTIVE = None
 
 
 class _Activation:

@@ -110,6 +110,5 @@ class Retrier:
                     otr.ACTIVE.emit(
                         EventKind.RETRY, attempt=attempt, backoff_us=backoff_us
                     )
-                    otr.ACTIVE.metrics.inc("retry.attempts")
                 self.clock.charge(backoff_us, self.world, EV_RETRY_BACKOFF)
                 attempt += 1

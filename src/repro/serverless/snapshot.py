@@ -192,8 +192,6 @@ class Snapshot:
                 # invariants check each was first claimed by a diff.
                 fields["offsets"] = [int(x) for x in np.flatnonzero(touched)]
             otr.ACTIVE.emit(EventKind.SNAPSHOT_MERGE, **fields)
-            otr.ACTIVE.metrics.inc("snapshot.merges")
-            otr.ACTIVE.metrics.inc("snapshot.pages_merged", stats.n_pages_applied)
         return stats
 
     def freeze(self) -> "Snapshot":

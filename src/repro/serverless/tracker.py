@@ -147,7 +147,6 @@ class UnifiedDirtyTracker:
                 n_pages=snapshot.n_pages,
                 mode=self.mode,
             )
-            otr.ACTIVE.metrics.inc("snapshot.maps")
         return MappedRegion(
             snapshot.name,
             snapshot.version,
@@ -197,6 +196,4 @@ class UnifiedDirtyTracker:
                 # before the diff claimed it.
                 fields["offsets"] = [int(x) for x in diff.offsets]
             otr.ACTIVE.emit(EventKind.SNAPSHOT_DIFF, **fields)
-            otr.ACTIVE.metrics.inc("snapshot.diffs")
-            otr.ACTIVE.metrics.observe("snapshot.diff_pages", diff.n_pages)
         return diff

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.events import EventKind, TraceEvent
-from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import TraceBuffer, TraceSession
 
 
@@ -123,7 +123,7 @@ def test_registry_counters_and_snapshot_are_sorted():
 def test_registry_render_mentions_everything():
     m = MetricsRegistry()
     m.inc("vmexit.pml_full", 2)
-    m.observe("pml.occupancy_at_flush", 512, bounds=DEFAULT_BOUNDS)
+    m.observe("pml.occupancy_at_flush", 512)
     text = m.render("T")
     assert "vmexit.pml_full" in text
     assert "pml.occupancy_at_flush" in text
