@@ -2,10 +2,10 @@
 
 A Boehm-style conservative collector manages a heap VMA inside the tracked
 process.  Objects live in an id-indexed numpy store (page, size,
-liveness, generation); references are an append-only edge list compacted
-at full collections.  Allocation bump-packs objects into pages per size
-class and *writes* those pages through the guest kernel — which is what
-the dirty-page-tracking techniques observe.
+liveness, generation, root bit); references are a few runs of edges, each
+sorted by source, compacted at full collections.  Allocation bump-packs
+objects into pages per size class and *writes* those pages through the
+guest kernel — which is what the dirty-page-tracking techniques observe.
 
 Ids are reused through a free list so long allocation-heavy runs
 (GCBench's tree torture) stay bounded by the live set, not the allocation
@@ -51,16 +51,14 @@ class GcHeap:
         self.obj_span = np.zeros(cap, dtype=np.int32)  # pages per object
         self.alive = np.zeros(cap, dtype=bool)
         self.gen = np.zeros(cap, dtype=np.uint8)
+        self.is_root = np.zeros(cap, dtype=bool)
         self._n_ids = 0
         self._free_ids: list[np.ndarray] = []
 
-        # Edges: append-only chunks, compacted at full collections.
-        self._edge_src: list[np.ndarray] = []
-        self._edge_dst: list[np.ndarray] = []
+        # Edges: (src, dst) runs, oldest and largest first, each stably
+        # sorted by source, so a source's edges keep their append order.
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
         self.n_edges = 0
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        self._csr_edges = -1
-        self._csr_n_ids = -1
 
         # Per-size-class bump state: size -> (vpn, slots_used).
         self._bump: dict[int, tuple[int, int]] = {}
@@ -70,7 +68,6 @@ class GcHeap:
         self._space_pages = process.space.n_pages
         self.page_live = np.zeros(self._space_pages, dtype=np.int32)
 
-        self.roots: set[int] = set()
         self.allocated_bytes_since_gc = 0
         self.total_allocated_objects = 0
 
@@ -82,13 +79,21 @@ class GcHeap:
         if self._n_ids + need <= cap:
             return
         new_cap = max(cap * 2, self._n_ids + need)
-        for name in ("obj_page", "obj_size", "obj_span", "alive", "gen"):
+        for name in ("obj_page", "obj_size", "obj_span", "alive", "gen", "is_root"):
             old = getattr(self, name)
             new = np.zeros(new_cap, dtype=old.dtype)
             if name == "obj_page":
                 new[:] = -1
             new[: len(old)] = old
             setattr(self, name, new)
+
+    def _ids(self, ids: np.ndarray | list[int]) -> np.ndarray:
+        """``ids`` as a flat int64 array, each checked to be in ``[0, _n_ids)``."""
+        i = np.asarray(ids, dtype=np.int64).ravel()
+        # Negative ids viewed as uint64 exceed the range: one reduction.
+        if i.size and i.view(np.uint64).max() >= self._n_ids:
+            raise GcError(f"object id out of range [0, {self._n_ids})")
+        return i
 
     def _take_ids(self, n: int) -> np.ndarray:
         ids = np.empty(n, dtype=np.int64)
@@ -203,18 +208,17 @@ class GcHeap:
     # ------------------------------------------------------------------
     def set_refs(self, src: np.ndarray | list[int], dst: np.ndarray | list[int]) -> None:
         """Store references src[i] -> dst[i]; writes the source pages."""
-        s = np.asarray(src, dtype=np.int64).ravel()
-        d = np.asarray(dst, dtype=np.int64).ravel()
+        s, d = self._ids(src), self._ids(dst)
         if s.size != d.size:
             raise GcError("set_refs length mismatch")
         if s.size == 0:
             return
         if not (self.alive[s].all() and self.alive[d].all()):
             raise GcError("set_refs on a dead object")
-        self._edge_src.append(s.copy())
-        self._edge_dst.append(d.copy())
+        order = np.argsort(s, kind="stable")
+        self._runs.append((s[order], d[order]))
         self.n_edges += int(s.size)
-        self._csr = None if self._csr_edges != self.n_edges else self._csr
+        self._settle_runs()
         self.kernel.access(self.process, self.pages_of(s), True)
 
     def replace_ref(self, src: int, old_dst: int, new_dst: int | None) -> None:
@@ -223,26 +227,35 @@ class GcHeap:
         src, old_dst = int(src), int(old_dst)
         if not self.alive[src]:
             raise GcError("replace_ref on a dead source")
-        found = False
-        for k in range(len(self._edge_src)):
-            s, d = self._edge_src[k], self._edge_dst[k]
-            hit = np.nonzero((s == src) & (d == old_dst))[0]
+        # Runs are in append order, and so is each source's range within
+        # a run: the first hit is the oldest such edge.
+        for k, (s, d) in enumerate(self._runs):
+            lo, hi = np.searchsorted(s, [src, src + 1])
+            hit = np.flatnonzero(d[lo:hi] == old_dst)
             if hit.size:
-                keep = np.ones(s.shape, dtype=bool)
-                keep[hit[0]] = False
-                self._edge_src[k] = s[keep]
-                self._edge_dst[k] = d[keep]
+                at = lo + hit[0]
+                self._runs[k] = (np.delete(s, at), np.delete(d, at))
                 self.n_edges -= 1
-                self._csr = None
-                self._csr_edges = -1
-                found = True
+                self._settle_runs()
                 break
-        if not found:
+        else:
             raise GcError(f"no edge {src} -> {old_dst} to replace")
         if new_dst is not None:
             self.set_refs([src], [int(new_dst)])
         else:
             self.kernel.access(self.process, self.obj_page[src:src + 1], True)
+
+    def _settle_runs(self) -> None:
+        """Drop empty runs and merge each run that is at least half the
+        size of its predecessor into it, so every run is more than twice
+        the next and there are at most ``floor(log2 n_edges) + 1``."""
+        runs = [r for r in self._runs if r[0].size]
+        k = len(runs) - 1
+        while k > 0:
+            if 2 * runs[k][0].size >= runs[k - 1][0].size:
+                runs[k - 1:k + 1] = [_merged(runs[k - 1:k + 1])]
+            k -= 1
+        self._runs = runs
 
     def write_objs(self, ids: np.ndarray | list[int]) -> None:
         """Mutate object payloads (no reference change)."""
@@ -265,57 +278,48 @@ class GcHeap:
     # roots
     # ------------------------------------------------------------------
     def add_roots(self, ids: np.ndarray | list[int]) -> None:
-        for i in np.asarray(ids, dtype=np.int64).ravel():
-            if not self.alive[i]:
-                raise GcError(f"root {i} is dead")
-            self.roots.add(int(i))
+        """Root ``ids``; every id is checked before any is rooted."""
+        i = self._ids(ids)
+        dead = i[~self.alive[i]]
+        if dead.size:
+            raise GcError(f"root {int(dead[0])} is dead")
+        self.is_root[i] = True
 
     def remove_roots(self, ids: np.ndarray | list[int]) -> None:
-        for i in np.asarray(ids, dtype=np.int64).ravel():
-            self.roots.discard(int(i))
+        self.is_root[self._ids(ids)] = False
 
     # ------------------------------------------------------------------
     # queries used by the collector
     # ------------------------------------------------------------------
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, dst) adjacency over all live edges."""
-        # Keyed on the id count too: allocation grows the id space
-        # without adding edges, and a stale (shorter) indptr would make
-        # out_neighbors index past the end for the new ids.
-        if (
-            self._csr is not None
-            and self._csr_edges == self.n_edges
-            and self._csr_n_ids == self._n_ids
-        ):
-            return self._csr
-        if self.n_edges == 0:
-            indptr = np.zeros(self._n_ids + 1, dtype=np.int64)
-            self._csr = (indptr, np.empty(0, dtype=np.int64))
-        else:
-            src = np.concatenate(self._edge_src)
-            dst = np.concatenate(self._edge_dst)
-            order = np.argsort(src, kind="stable")
-            counts = np.bincount(src, minlength=self._n_ids)
-            indptr = np.zeros(self._n_ids + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr = (indptr, dst[order])
-        self._csr_edges = self.n_edges
-        self._csr_n_ids = self._n_ids
-        return self._csr
+        """(indptr, dst) adjacency over every stored edge, each source's
+        targets in append order.  Built on demand: marking and the UAF
+        scan use :meth:`out_neighbors`, which needs no rebuild."""
+        src, dst = _merged(self._runs)
+        indptr = np.zeros(self._n_ids + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self._n_ids), out=indptr[1:])
+        return indptr, dst
 
     def out_neighbors(self, ids: np.ndarray) -> np.ndarray:
-        indptr, dst = self.csr()
-        if ids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = indptr[ids]
-        ends = indptr[ids + 1]
-        lens = ends - starts
-        total = int(lens.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Gather ranges [starts[i], ends[i]) vectorised.
-        offsets = np.repeat(starts + lens - lens.cumsum(), lens) + np.arange(total)
-        return dst[offsets]
+        """Targets of every edge out of ``ids``, as a multiset.
+
+        The order is run-major, not by source; every caller dedupes
+        (both marks through ``unique_pages``, the UAF scan into a set).
+        Each run answers by binary search on its sources, so a minor
+        cycle's scan set of a few thousand ids costs a few searches per
+        run, not a CSR rebuild over the whole id space.
+        """
+        ids = self._ids(ids)
+        parts = [np.empty(0, dtype=np.int64)]
+        for src, dst in self._runs:
+            starts = np.searchsorted(src, ids, "left")
+            lens = np.searchsorted(src, ids, "right") - starts
+            total = int(lens.sum())
+            if total:
+                # Gather ranges [starts[i], starts[i] + lens[i]) vectorised.
+                offsets = np.repeat(starts + lens - lens.cumsum(), lens)
+                parts.append(dst[offsets + np.arange(total)])
+        return np.concatenate(parts)
 
     def pages_of(self, ids: np.ndarray) -> np.ndarray:
         """Distinct first pages of objects ``ids``, ascending."""
@@ -378,11 +382,19 @@ class GcHeap:
         """Drop edges whose source is dead (run at full collections)."""
         if self.n_edges == 0:
             return
-        src = np.concatenate(self._edge_src)
-        dst = np.concatenate(self._edge_dst)
+        src, dst = _merged(self._runs)
         keep = self.alive[src] & self.alive[dst]
-        self._edge_src = [src[keep]]
-        self._edge_dst = [dst[keep]]
+        self._runs = [(src[keep], dst[keep])]
         self.n_edges = int(keep.sum())
-        self._csr = None
-        self._csr_edges = -1
+        self._settle_runs()
+
+
+def _merged(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One source-sorted run from ``runs``, oldest first, stably: equal
+    sources keep run order (timsort merges the sorted runs in one pass)."""
+    if len(runs) == 1:
+        return runs[0]
+    src = np.concatenate([s for s, _ in runs] or [np.empty(0, dtype=np.int64)])
+    dst = np.concatenate([d for _, d in runs] or [np.empty(0, dtype=np.int64)])
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order]

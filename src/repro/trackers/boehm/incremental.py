@@ -37,8 +37,7 @@ def full_mark(heap: GcHeap) -> MarkResult:
     """Stop-the-world mark: BFS over every live reachable object."""
     n = heap._n_ids
     marked = np.zeros(n, dtype=bool)
-    roots = np.array(sorted(heap.roots), dtype=np.int64)
-    roots = roots[heap.alive[roots]] if roots.size else roots
+    roots = np.flatnonzero(heap.is_root[:n] & heap.alive[:n])
     marked[roots] = True
     frontier = roots
     visited = [roots]
@@ -65,8 +64,7 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
     """
     n = heap._n_ids
     marked = np.zeros(n, dtype=bool)
-    roots = np.array(sorted(heap.roots), dtype=np.int64)
-    roots = roots[heap.alive[roots]] if roots.size else roots
+    roots = np.flatnonzero(heap.is_root[:n] & heap.alive[:n])
     on_dirty = heap.objects_on_pages(np.asarray(dirty_vpns, dtype=np.int64))
     old_dirty = on_dirty[heap.gen[on_dirty] == GEN_OLD]
     scan_set = unique_pages(np.concatenate([roots, old_dirty]), n)

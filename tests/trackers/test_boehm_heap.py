@@ -1,5 +1,7 @@
 """Tests for the GC heap."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,11 +117,28 @@ def test_free_large_object_releases_all_span_pages(stack, heap):
 def test_roots_validation(heap):
     ids = heap.alloc(2, 256)
     heap.add_roots(ids[:1])
-    assert int(ids[0]) in heap.roots
+    assert heap.is_root[ids[0]]
     heap.remove_roots(ids[:1])
+    assert not heap.is_root[ids[0]]
     heap.free_objects(ids[1:])
     with pytest.raises(GcError):
         heap.add_roots(ids[1:])
+
+
+def test_add_roots_checks_every_id_before_rooting_any(heap):
+    ids = heap.alloc(3, 256)
+    heap.free_objects(ids[1:2])
+    with pytest.raises(GcError, match="dead"):
+        heap.add_roots(ids)  # the dead id sits between two live ones
+    assert not heap.is_root[: heap._n_ids].any()
+
+
+@pytest.mark.parametrize("method", ["add_roots", "remove_roots", "out_neighbors"])
+def test_ids_outside_the_id_space_rejected(heap, method):
+    ids = heap.alloc(2, 256)
+    for bad in (heap._n_ids, -1):
+        with pytest.raises(GcError, match="out of range"):
+            getattr(heap, method)(np.array([int(ids[0]), bad]))
 
 
 def test_compact_edges_drops_dead(heap):
@@ -189,6 +208,15 @@ def test_replace_ref_swaps_pointer_cell(heap):
     assert heap.out_neighbors(ids[:1]).size == 0
 
 
+def test_replace_ref_drops_the_oldest_matching_edge(heap):
+    a, b, c = (int(i) for i in heap.alloc(3, 256))
+    heap.set_refs([a, a], [b, c])
+    heap.set_refs([a], [b])  # a second run, merged into the first
+    heap.replace_ref(a, b, None)
+    indptr, dst = heap.csr()
+    assert dst[indptr[a]:indptr[a + 1]].tolist() == [c, b]
+
+
 def test_replace_ref_validation(heap):
     ids = heap.alloc(2, 256)
     with pytest.raises(GcError):
@@ -238,3 +266,71 @@ def test_reused_id_starts_without_out_edges(heap):
     stale = heap.out_neighbors(np.array([reused]))
     if stale.size:
         raise _StaleEdgesError(f"reused id {reused} still points to {stale}")
+
+
+# One step of edge-store history; small integers pick among live ids or
+# edges, so duplicate edges and one-edge batches are common.
+pick = st.integers(0, 15)
+edge_step = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 12)),
+    st.tuples(st.just("refs"),
+              st.lists(st.tuples(pick, pick), min_size=1, max_size=40)),
+    st.tuples(st.just("replace"), pick, st.none() | pick),
+    st.tuples(st.just("free"), st.lists(pick, max_size=4), st.booleans()),
+    st.tuples(st.just("query"), st.lists(pick, max_size=12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(edge_step, min_size=1, max_size=40))
+def test_property_edge_store_matches_append_log(steps):
+    """The run store against a plain append log of (src, dst) pairs:
+    the CSR export is the log's stable-argsort CSR, every query returns
+    the log's multiset, and the run count stays logarithmic."""
+    from collections import Counter
+
+    clock = SimClock()
+    hv = Hypervisor(clock, CostModel(), host_mem_mb=64)
+    kernel = GuestKernel(hv.create_vm("vm", mem_mb=16))
+    heap = GcHeap(kernel, kernel.spawn("p", n_pages=2048), heap_pages=1024)
+    log: list[tuple[int, int]] = []
+    for step in steps:
+        live = heap.live_ids().tolist()
+        kind = step[0]
+        if kind == "alloc":
+            heap.alloc(step[1], 64)
+        elif kind == "refs" and live:
+            pairs = [(live[a % len(live)], live[b % len(live)]) for a, b in step[1]]
+            heap.set_refs([s for s, _ in pairs], [d for _, d in pairs])
+            log.extend(pairs)
+        elif kind == "replace":
+            cells = [e for e in log if heap.alive[e[0]]]
+            if not cells:
+                continue
+            s, d = cells[step[1] % len(cells)]
+            new = None if step[2] is None or not live else live[step[2] % len(live)]
+            heap.replace_ref(s, d, new)
+            del log[log.index((s, d))]
+            if new is not None:
+                log.append((s, new))
+        elif kind == "free" and live:
+            dead = sorted({live[a % len(live)] for a in step[1]})
+            heap.free_objects(np.array(dead, dtype=np.int64))
+            if step[2]:
+                heap.compact_edges()
+                log = [(s, d) for s, d in log if heap.alive[s] and heap.alive[d]]
+        elif kind == "query" and heap._n_ids:
+            ids = [a % heap._n_ids for a in step[1]]
+            want = Counter(d for i in ids for s, d in log if s == i)
+            got = heap.out_neighbors(np.array(ids, dtype=np.int64))
+            assert Counter(got.tolist()) == want
+
+        assert heap.n_edges == len(log)
+        assert len(heap._runs) <= len(log).bit_length()  # floor(log2 n) + 1
+        src = np.array([s for s, _ in log], dtype=np.int64)
+        dst = np.array([d for _, d in log], dtype=np.int64)
+        want_indptr = np.zeros(heap._n_ids + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=heap._n_ids), out=want_indptr[1:])
+        indptr, got_dst = heap.csr()
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(got_dst, dst[np.argsort(src, kind="stable")])
