@@ -2,11 +2,10 @@
 
 :class:`RefMmu` resolves every batch with the multipass walk that the
 production walk (:class:`repro.hw.mmu.Mmu`) replaced: no page-set
-normalisation, no TLB fast path, no walk cache.  It inherits
-:meth:`Mmu.access`'s argument checks and WRITE trace emission and
-overrides only the walk step, so the differential and golden-trace
-suites can swap it in for ``vm.mmu`` and demand bit-identical state and
-traces.
+normalisation, no TLB fast path.  It inherits :meth:`Mmu.access`'s
+argument checks and WRITE trace emission and overrides only the walk
+step, so the differential and golden-trace suites can swap it in for
+``vm.mmu`` and demand bit-identical state and traces.
 """
 
 from __future__ import annotations
@@ -14,20 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ProtectionFault
-from repro.hw.ept import Ept
-from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import Mmu, MmuResult
 from repro.hw.pagetable import PTE_ACCESSED, PTE_DIRTY, PTE_UFD_WP, PTE_WRITABLE
-from repro.hw.pml import PmlCircuit
 
 __all__ = ["RefMmu"]
 
 
 class RefMmu(Mmu):
-    """:class:`Mmu` with the multipass reference walk and no walk cache."""
-
-    def __init__(self, ept: Ept, host_mem: PhysicalMemory, pml: PmlCircuit) -> None:
-        super().__init__(ept, host_mem, pml, walk_cache=False)
+    """:class:`Mmu` with the multipass reference walk and no fast path."""
 
     def _resolve(self, pt, tlb, v, w, wbool, handlers, res, pml) -> MmuResult:
         if w is None:

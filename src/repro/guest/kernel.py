@@ -200,9 +200,7 @@ class GuestKernel:
         through :meth:`access` / :meth:`compute` — same op order, same
         scheduler driving, same per-batch listener notifications — but
         with the per-call overhead (state checks, vCPU lookup, handler
-        resolution) paid once per plan instead of once per batch, and
-        with segment-level walk-cache replay in the MMU
-        (:meth:`repro.hw.mmu.Mmu.access_segment`).
+        resolution) paid once per plan instead of once per batch.
 
         ``plan`` may also be a plain list of ``(vpns, write)`` batches,
         which is wrapped as a transient single-segment plan.

@@ -20,21 +20,17 @@ order.  What changes is purely host-side bookkeeping.
 Plans come in two flavours:
 
 * **frozen** (:meth:`PlanBuilder.build`) — batch arrays are defensively
-  copied and each run of consecutive access batches becomes a
-  :class:`PlanSegment` with a process-wide unique ``uid``.  Immutability
-  plus the uid let the MMU memoize a whole segment's steady-state
-  outcome (:meth:`repro.hw.mmu.Mmu.access_segment`) and replay it with
-  one bulk content write.  Use for phases executed repeatedly (a
-  sequential pass the workload re-runs every iteration).
+  copied, so the caller may reuse its buffers.  Use for phases executed
+  repeatedly (a sequential pass the workload re-runs every iteration).
 * **transient** (:meth:`PlanBuilder.build_transient` /
-  :meth:`AccessPlan.from_batches`) — no copies, ``uid`` is ``None``, no
-  segment memoization (per-batch walk caching still applies).  Use for
-  one-shot phases built from freshly generated offsets.
+  :meth:`AccessPlan.from_batches`) — no copies.  Use for one-shot phases
+  built from freshly generated offsets.
+
+Either way each run of consecutive access batches becomes one
+:class:`PlanSegment`, executed by :meth:`repro.hw.mmu.Mmu.access_segment`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -42,27 +38,18 @@ from repro.errors import GuestError
 
 __all__ = ["PlanSegment", "AccessPlan", "PlanBuilder"]
 
-#: Process-wide unique segment ids for the MMU plan cache (never reused,
-#: so a dead plan's memoized outcomes cannot alias onto a new plan).
-_uid_counter = itertools.count(1)
-
 
 class PlanSegment:
     """A run of consecutive access batches with no compute in between.
 
     ``batches`` holds ``(vpns, write)`` pairs exactly as
     :meth:`GuestKernel.access` accepts them (``write`` is a scalar bool
-    or a per-access mask).  ``uid`` is ``None`` for transient segments.
+    or a per-access mask).
     """
 
-    __slots__ = ("uid", "batches", "n_accesses", "n_writes")
+    __slots__ = ("batches", "n_accesses", "n_writes")
 
-    def __init__(
-        self,
-        batches: list[tuple[np.ndarray, np.ndarray | bool]],
-        frozen: bool,
-    ) -> None:
-        self.uid = next(_uid_counter) if frozen else None
+    def __init__(self, batches: list[tuple[np.ndarray, np.ndarray | bool]]) -> None:
         self.batches = batches
         self.n_accesses = sum(int(v.size) for v, _ in batches)
         self.n_writes = sum(
@@ -158,17 +145,17 @@ class PlanBuilder:
                 run.append((v, w))
             else:
                 if run:
-                    items.append(PlanSegment(run, frozen))
+                    items.append(PlanSegment(run))
                     run = []
                 items.append(op[1])
         if run:
-            items.append(PlanSegment(run, frozen))
+            items.append(PlanSegment(run))
         return AccessPlan(items)
 
     def build(self) -> AccessPlan:
-        """Frozen plan: arrays copied, segments memoizable by uid."""
+        """Frozen plan: batch arrays copied."""
         return self._compile(frozen=True)
 
     def build_transient(self) -> AccessPlan:
-        """Transient plan: no copies, no segment memoization."""
+        """Transient plan: batch arrays used as given."""
         return self._compile(frozen=False)

@@ -31,13 +31,6 @@ class Ept:
         self.n_guest_frames = n_guest_frames
         self.hpfn = np.full(n_guest_frames, -1, dtype=np.int64)
         self.flags = np.zeros(n_guest_frames, dtype=np.uint16)
-        #: Mutation generation for the MMU walk cache: bumped by every
-        #: mapping or flag mutation — map, A/D updates (:meth:`touch`) and
-        #: the harvest re-arm (:meth:`clear_dirty`).  Clearing EPT dirty
-        #: bits therefore always invalidates memoized batch replay, which
-        #: is what guarantees a replayed batch can never swallow a 0->1
-        #: dirty transition the PML circuit should have logged.
-        self.generation = 0
 
     def _check(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         arr = np.asarray(gpfns, dtype=np.int64).ravel()
@@ -61,7 +54,6 @@ class Ept:
         if writable:
             f |= EPT_WRITABLE
         self.flags[g] = f
-        self.generation += 1
 
     def translate(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         g = self._check(gpfns)
@@ -90,7 +82,6 @@ class Ept:
                 raise ValueError("gpfns and write_mask length mismatch")
             written = g[w]
         self.flags[g] |= EPT_ACCESSED
-        self.generation += 1
         if written.size == 0:
             return np.empty(0, dtype=np.int64)
         was_clean = (self.flags[written] & EPT_DIRTY) == 0
@@ -112,18 +103,10 @@ class Ept:
         out = h.copy()
         self.hpfn[g] = -1
         self.flags[g] = 0
-        self.generation += 1
         return out
 
     def clear_accessed(self, gpfns: np.ndarray | list[int] | None = None) -> int:
-        """Clear A bits (WSS sample re-arm); returns how many were set.
-
-        Like :meth:`clear_dirty`, this must bump :attr:`generation`: the
-        walk cache replays memoized batches without re-setting accessed
-        bits, so a sampler that cleared A bits behind the cache's back
-        would under-count every page whose accesses replay from the cache.
-        """
-        self.generation += 1
+        """Clear A bits (WSS sample re-arm); returns how many were set."""
         if gpfns is None:
             acc = (self.flags & EPT_ACCESSED) != 0
             n = int(acc.sum())
@@ -136,7 +119,6 @@ class Ept:
 
     def clear_dirty(self, gpfns: np.ndarray | list[int] | None = None) -> int:
         """Clear D bits (harvest re-arm); returns how many were set."""
-        self.generation += 1
         if gpfns is None:
             dirty = (self.flags & EPT_DIRTY) != 0
             n = int(dirty.sum())

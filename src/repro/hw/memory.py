@@ -129,40 +129,6 @@ class PhysicalMemory:
         self._write_seq += n
         self._content[arr] = tokens
 
-    def write_trusted(self, frames: np.ndarray) -> None:
-        """:meth:`write` minus conversion and bounds checks.
-
-        Hot-path variant for the MMU walk cache: ``frames`` is an int64
-        array that was bounds-checked when the batch outcome was memoized
-        and is replayed unmodified, so the min/max scan would be pure
-        overhead.  Token assignment is bit-identical to :meth:`write`.
-        """
-        if frames.size == 0:
-            return
-        # Single fused arange: same tokens as ``write``'s arange + add,
-        # one temporary instead of two.  Go through Python ints so the
-        # uint64 + int promotion rules can't change the dtype.
-        start = int(self._write_seq) + 1
-        tokens = np.arange(start, start + frames.size, dtype=np.uint64)
-        self._write_seq += np.uint64(frames.size)
-        self._content[frames] = tokens
-
-    def write_trusted_run(self, first: int, size: int) -> None:
-        """:meth:`write_trusted` for a contiguous ascending frame run.
-
-        The walk cache proves ``frames == arange(first, first + size)``
-        once, at memoization time; replay then slice-assigns instead of
-        scatter-assigning, which is ~5x cheaper at batch sizes.  Token
-        assignment is bit-identical to :meth:`write`.
-        """
-        if size == 0:
-            return
-        start = int(self._write_seq) + 1
-        self._content[first:first + size] = np.arange(
-            start, start + size, dtype=np.uint64
-        )
-        self._write_seq += np.uint64(size)
-
     def store_trusted(self, frames: np.ndarray, tokens: np.ndarray) -> None:
         """:meth:`store` minus conversion and bounds checks.
 

@@ -18,8 +18,6 @@ Flag semantics follow Linux:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.errors import ConfigurationError, InvalidAddressError
@@ -46,12 +44,6 @@ PTE_UFD_WP = np.uint16(1 << 5)
 PTE_ZERO = np.uint16(1 << 6)
 
 
-#: Process-wide unique PageTable ids (never reused, unlike ``id()``): the
-#: MMU walk cache keys entries on them, so id reuse after GC must not be
-#: able to alias a dead table's cached outcomes onto a new table.
-_uid_counter = itertools.count(1)
-
-
 class PageTable:
     """Dense VPN -> (GPFN, flags) table for one address space."""
 
@@ -61,14 +53,6 @@ class PageTable:
         self.n_pages = n_pages
         self.gpfn = np.full(n_pages, -1, dtype=np.int64)
         self.flags = np.zeros(n_pages, dtype=np.uint16)
-        #: Walk-cache identity (see repro.hw.mmu): never-reused table id.
-        self.uid = next(_uid_counter)
-        #: Mutation generation: bumped by every operation that changes
-        #: mappings or flag bits (map/unmap/set_flags/clear_flags, plus
-        #: the MMU's in-walk A/D updates).  The MMU walk cache validates
-        #: memoized batch outcomes against it, so any PTE mutation —
-        #: notably a tracker's dirty-bit re-arm — invalidates replay.
-        self.generation = 0
         # Lazily built GPFN->VPN index for reverse_lookup; invalidated by
         # any operation that changes which VPNs are mapped (map/unmap, or
         # flag updates touching PRESENT).  Host-side speedup only: the
@@ -108,7 +92,6 @@ class PageTable:
         if soft_dirty:
             f |= PTE_SOFT_DIRTY
         self.flags[v] = f
-        self.generation += 1
         self._rev_index = None
 
     def unmap(self, vpns: np.ndarray | list[int]) -> np.ndarray:
@@ -117,7 +100,6 @@ class PageTable:
         gpfns = self.gpfn[v].copy()
         self.gpfn[v] = -1
         self.flags[v] = 0
-        self.generation += 1
         self._rev_index = None
         return gpfns[gpfns >= 0]
 
@@ -133,14 +115,12 @@ class PageTable:
     def set_flags(self, vpns: np.ndarray | list[int], flag: np.uint16) -> None:
         v = self._check_vpns(vpns)
         self.flags[v] |= flag
-        self.generation += 1
         if flag & PTE_PRESENT:
             self._rev_index = None
 
     def clear_flags(self, vpns: np.ndarray | list[int], flag: np.uint16) -> None:
         v = self._check_vpns(vpns)
         self.flags[v] &= ~flag
-        self.generation += 1
         if flag & PTE_PRESENT:
             self._rev_index = None
 

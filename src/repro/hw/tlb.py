@@ -17,17 +17,12 @@ discipline real kernels follow with ``invlpg``/TLB shootdowns.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
 __all__ = ["Tlb"]
-
-#: Process-wide unique TLB ids for the MMU walk cache (never reused).
-_uid_counter = itertools.count(1)
 
 
 class Tlb:
@@ -44,14 +39,6 @@ class Tlb:
         self.n_flushes = 0
         self.n_fills = 0
         self.n_invalidations = 0
-        #: Walk-cache identity (see repro.hw.mmu): never-reused TLB id.
-        self.uid = next(_uid_counter)
-        #: Downgrade generation: bumped by invalidate/flush (the only
-        #: operations that can *remove* cached translations).  Fills only
-        #: add entries, so they leave it untouched — a memoized fast-path
-        #: batch whose pages were all cached stays cached until the next
-        #: invalidation, which is exactly what the MMU walk cache checks.
-        self.generation = 0
 
     def fill(self, vpns: np.ndarray) -> None:
         v = np.asarray(vpns, dtype=np.int64).ravel()
@@ -76,22 +63,10 @@ class Tlb:
         v = np.asarray(vpns, dtype=np.int64).ravel()
         return bool(self._cached[v].any())
 
-    def note_refill(self, n: int) -> None:
-        """Account a fill of ``n`` already-cached VPNs without the scatter.
-
-        Replay-path helper: when the walk cache has proven (via
-        :attr:`generation`) that no invalidation happened since the batch
-        was memoized, every VPN is still cached, so the fill's bitmap
-        write is a no-op — only the fill counter advances, bit-identically
-        to :meth:`fill`.
-        """
-        self.n_fills += int(n)
-
     def invalidate(self, vpns: np.ndarray) -> None:
         v = np.asarray(vpns, dtype=np.int64).ravel()
         self._cached[v] = False
         self.n_invalidations += int(v.size)
-        self.generation += 1
 
     def flush(self) -> None:
         if otr.ACTIVE is not None:
@@ -102,7 +77,6 @@ class Tlb:
             )
         self._cached[:] = False
         self.n_flushes += 1
-        self.generation += 1
 
     @property
     def n_cached(self) -> int:

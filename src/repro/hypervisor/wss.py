@@ -37,10 +37,9 @@ class WssEstimator:
     samples: list[WssSample] = field(default_factory=list)
 
     def _clear_accessed(self) -> None:
-        # Must go through the invalidating mutator: clearing A bits by
-        # poking ``ept.flags`` directly would leave ``Ept.generation``
-        # unchanged, so a warm walk-cache batch could replay without
-        # re-setting accessed bits and the sample would under-count.
+        # A cleared EPT A bit makes the MMU's TLB fast path decline the
+        # page's next batch, so the walk re-sets it and the sample counts
+        # every page the interval touched, TLB-cached or not.
         self.vm.ept.clear_accessed()
 
     def _count_accessed(self) -> int:

@@ -130,7 +130,7 @@ class TrafficGenerator:
 
 def tenant_plans(cfg: ServerlessConfig, tenant_idx: int) -> list[AccessPlan]:
     """The tenant's frozen plan variants (built once, reused by every
-    instance — frozen segments let the MMU memoize steady-state replay)."""
+    instance)."""
     plans: list[AccessPlan] = []
     n_touch = max(1, int(cfg.region_pages * cfg.touch_frac))
     n_write = max(1, int(n_touch * cfg.write_frac))

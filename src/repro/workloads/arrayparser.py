@@ -42,8 +42,7 @@ class ArrayParser(Workload):
     def _run(self, ctx: MemoryContext) -> None:
         region = ctx.alloc_region(self.footprint_pages, "array")
         if ctx.supports_plans:
-            # One frozen plan per pass (identical every pass): the MMU
-            # memoizes its segments, so steady-state passes replay.
+            # One frozen plan, built once and run every pass.
             b = PlanBuilder()
             for lo in range(0, region.n_pages, BATCH_PAGES):
                 hi = min(lo + BATCH_PAGES, region.n_pages)

@@ -62,8 +62,7 @@ class PhoenixApp(Workload):
         trigger point and the experiment harness's collect hook), so a
         plan can only span one batch: each read+compute pair becomes a
         frozen mini-plan, compiled once per (region, factor) and reused
-        across the repeated streams of iterative apps — which is what
-        lets the MMU replay them in steady state.
+        across the repeated streams of iterative apps.
         """
         if ctx.supports_plans and on_batch is None:
             for plan in self._seq_plans(region, compute_factor):

@@ -13,8 +13,7 @@ import pytest
 
 from repro.errors import GuestError, WorkloadError
 from repro.experiments.harness import build_stack
-from repro.guest.plan import AccessPlan, PlanBuilder
-from repro.obs import trace as otr
+from repro.guest.plan import PlanBuilder
 from repro.workloads import FlatContext
 from repro.workloads.base import GcContext
 
@@ -92,8 +91,8 @@ def test_plan_equals_per_call_driving(n_vcpus, interval):
 
 
 def test_plan_repeated_execution_stays_identical():
-    """A frozen plan executed repeatedly (segment replay in steady state)
-    matches per-call driving executed the same number of times."""
+    """A frozen plan executed repeatedly matches per-call driving
+    executed the same number of times."""
     vpns = np.arange(0, 64, dtype=np.int64)
 
     stack_a, proc_a = _stack()
@@ -114,31 +113,22 @@ def test_plan_repeated_execution_stays_identical():
 
 
 def test_multi_batch_segment_replays():
-    """A plan whose segment holds several batches replays wholesale."""
-    # Detailed tracing (the REPRO_TRACE=1 session) disables segment
-    # replay by design, so pin a summary-only session; `active()`
-    # restores the previous one on exit.
-    with otr.TraceSession(detail=False).active():
-        stack, proc = _stack()
-        mmu = stack.vm.mmu
-        mmu._cache = {}
-        b = PlanBuilder()
-        for lo in range(0, 64, 16):
-            b.write(np.arange(lo, lo + 16, dtype=np.int64))
-        plan = b.build()
-        assert plan.n_batches == 4 and len(plan.items) == 1
-        for _ in range(3):
-            stack.kernel.access_plan(proc, plan)
-        assert mmu.n_segment_replays >= 1
-        # Dirty-bit re-arm must bust the segment entry too.
-        from repro.hw.pagetable import PTE_DIRTY
+    """A plan whose segment holds several batches re-runs them all: after
+    a dirty-bit re-arm, every page is re-observed as freshly dirty."""
+    from repro.hw.pagetable import PTE_DIRTY
 
-        proc.space.pt.clear_flags(np.arange(64), PTE_DIRTY)
-        proc.space.invalidate_all(np.arange(64))
-        before = mmu.n_segment_replays
-        rs = stack.kernel.access_plan(proc, plan)
-        assert mmu.n_segment_replays == before
-        assert sum(r.newly_pte_dirty.size for r in rs) == 64
+    stack, proc = _stack()
+    b = PlanBuilder()
+    for lo in range(0, 64, 16):
+        b.write(np.arange(lo, lo + 16, dtype=np.int64))
+    plan = b.build()
+    assert plan.n_batches == 4 and len(plan.items) == 1
+    for _ in range(3):
+        stack.kernel.access_plan(proc, plan)
+    proc.space.pt.clear_flags(np.arange(64), PTE_DIRTY)
+    proc.space.invalidate_all(np.arange(64))
+    rs = stack.kernel.access_plan(proc, plan)
+    assert sum(r.newly_pte_dirty.size for r in rs) == 64
 
 
 def test_listeners_observe_every_batch_in_order():
@@ -198,13 +188,6 @@ def test_frozen_plans_are_immune_to_caller_mutation():
     rs = stack.kernel.access_plan(proc, plan)
     assert rs[0].n_accesses == 32
     assert rs[0].newly_pte_dirty.tolist() == list(range(32))
-
-
-def test_transient_plans_have_no_segment_uid():
-    plan = AccessPlan.from_batches([(np.arange(4), True)])
-    assert plan.items[0].uid is None
-    frozen = PlanBuilder().write(np.arange(4)).build()
-    assert frozen.items[0].uid is not None
 
 
 def test_dead_and_stopped_processes_rejected():

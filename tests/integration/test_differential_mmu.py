@@ -19,7 +19,8 @@ from repro.core.costs import CostModel
 from repro.emu import RefMachine, RefMmu
 from repro.guest.kernel import GuestKernel
 from repro.hw import vmcs as vmcsf
-from repro.hw.pagetable import PTE_DIRTY
+from repro.hw.ept import EPT_DIRTY
+from repro.hw.pagetable import PTE_DIRTY, PTE_SOFT_DIRTY
 from repro.hypervisor.hypervisor import Hypervisor
 
 N_PAGES = 96
@@ -231,3 +232,61 @@ def test_fast_path_declines_after_dirty_clear():
     h.access(vpns, True)  # must re-log: full walk
     assert h.vm.mmu.n_fast_batches == before
     assert set(vpns.tolist()) <= set(h.guest_log())
+
+
+#: Every PTE/EPT/TLB mutation kind a tracker, kernel or hypervisor can
+#: apply between two writes of the same batch.
+MUTATIONS = (
+    "clear_pte_dirty", "set_pte_flags", "remap", "unmap",
+    "clear_ept_dirty", "ept_remap", "tlb_invalidate", "tlb_flush",
+)
+
+
+def _mutate(h: Harness, op: str, sub: np.ndarray) -> None:
+    pt, tlb, ept = h.proc.space.pt, h.proc.space.tlb, h.vm.ept
+    if op == "clear_pte_dirty":
+        pt.clear_flags(sub, PTE_DIRTY)
+        tlb.invalidate(sub)
+    elif op == "set_pte_flags":
+        pt.set_flags(sub, PTE_SOFT_DIRTY)
+    elif op == "remap":
+        pt.map(sub, pt.gpfn[sub].copy())
+        tlb.invalidate(sub)
+    elif op == "unmap":
+        freed = pt.unmap(sub[:1])
+        tlb.invalidate(sub[:1])
+        pt.map(sub[:1], freed)
+    elif op == "clear_ept_dirty":
+        ept.clear_dirty()
+    elif op == "ept_remap":
+        g = int(pt.gpfn[0])
+        ept.map([g], [int(ept.hpfn[g])])
+    elif op == "tlb_invalidate":
+        tlb.invalidate(sub)
+    else:
+        tlb.flush()
+
+
+@settings(max_examples=24, deadline=None)
+@given(op=st.sampled_from(MUTATIONS))
+def test_fast_path_sees_every_mutation(op):
+    """After any mutation the next write of a steady-state batch (one the
+    TLB fast path was taking) reports what the reference walk reports,
+    and re-observes every cleared dirty bit as a fresh 0->1 transition."""
+    vpns = np.arange(0, 48, dtype=np.int64)
+    fused, multi = Harness(), Harness(ref=True)
+    for h in (fused, multi):
+        for _ in range(3):
+            h.access(vpns, True)
+        _mutate(h, op, vpns[:24])
+    assert fused.vm.mmu.n_fast_batches == 2
+    pt, ept = fused.proc.space.pt, fused.vm.ept
+    clean_ptes = vpns[(pt.flags[vpns] & PTE_DIRTY) == 0]
+    g = pt.gpfn[vpns]
+    clean_epts = np.unique(g[(ept.flags[g] & EPT_DIRTY) == 0])
+    for h in (fused, multi):
+        h.access(vpns, True)
+    assert fused.results[-1] == multi.results[-1]
+    assert fused.state() == multi.state()
+    assert fused.results[-1][5] == clean_ptes.tolist()
+    assert fused.results[-1][6] == clean_epts.tolist()

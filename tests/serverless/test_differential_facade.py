@@ -36,13 +36,10 @@ _CHAOS_KWARGS = {
 }
 
 
-def _run(mode: str, facade: bool, walk_cache: bool, chaos: bool = False):
+def _run(mode: str, facade: bool, chaos: bool = False):
     """One fixed scenario; returns (collects, machine-state tuple)."""
     stack = build_stack(vm_mb=16, pml_buffer_entries=32)
     mmu = stack.vm.mmu
-    # Force the switch so both legs are meaningful under any
-    # REPRO_WALK_CACHE CI matrix leg.
-    mmu._cache = {} if walk_cache else None
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     rng = np.random.default_rng(13)
@@ -88,10 +85,9 @@ def _run(mode: str, facade: bool, walk_cache: bool, chaos: bool = False):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("walk_cache", [True, False])
-def test_facade_bit_identical(mode, walk_cache):
-    f_collects, f_state = _run(mode, facade=True, walk_cache=walk_cache)
-    d_collects, d_state = _run(mode, facade=False, walk_cache=walk_cache)
+def test_facade_bit_identical(mode):
+    f_collects, f_state = _run(mode, facade=True)
+    d_collects, d_state = _run(mode, facade=False)
     assert f_collects == d_collects
     assert f_state == d_state
 
@@ -100,8 +96,8 @@ def test_facade_bit_identical(mode, walk_cache):
 def test_facade_bit_identical_under_chaos(mode):
     """Fault-injection draws are positional: the facade must consume the
     exact same injector stream as the direct technique."""
-    f_collects, f_state = _run(mode, facade=True, walk_cache=True, chaos=True)
-    d_collects, d_state = _run(mode, facade=False, walk_cache=True, chaos=True)
+    f_collects, f_state = _run(mode, facade=True, chaos=True)
+    d_collects, d_state = _run(mode, facade=False, chaos=True)
     assert f_collects == d_collects
     assert f_state == d_state
 

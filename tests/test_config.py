@@ -11,9 +11,7 @@ from repro.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-ENV_SWITCHES = {
-    "REPRO_TRACE", "REPRO_VCPUS", "REPRO_EXPERIMENT_CACHE", "REPRO_WALK_CACHE",
-}
+ENV_SWITCHES = {"REPRO_TRACE", "REPRO_VCPUS", "REPRO_EXPERIMENT_CACHE"}
 
 
 def test_defaults():
