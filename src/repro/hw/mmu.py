@@ -205,9 +205,13 @@ class Mmu:
 
         Returns ``False`` when the batch must take the full walk.
         """
-        if not tlb.cached_all(v):
+        # A sorted-distinct batch whose ends are size - 1 apart is a run:
+        # index it by slice, so the TLB and PTE reads are views, not gathers.
+        lo = int(v[0])
+        r = slice(lo, lo + v.size) if int(v[-1]) - lo == v.size - 1 else v
+        if not tlb.cached_all(r):
             return False
-        f = pt.flags[v]
+        f = pt.flags[r]
         need_r = PTE_PRESENT | PTE_ACCESSED
         if not ((f & need_r) == need_r).all():
             return False
@@ -215,7 +219,7 @@ class Mmu:
         need_w = PTE_WRITABLE | PTE_DIRTY
         if fw.size and not ((fw & need_w) == need_w).all():
             return False
-        g = pt.gpfn[v]
+        g = pt.gpfn[r]
         if (g < 0).any() or int(g.max()) >= self.ept.n_guest_frames:
             return False
         ef = self.ept.flags[g]

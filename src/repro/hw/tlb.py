@@ -49,8 +49,9 @@ class Tlb:
         v = np.asarray(vpns, dtype=np.int64).ravel()
         return self._cached[v].copy()
 
-    def cached_all(self, vpns: np.ndarray) -> bool:
-        """True when every VPN has a cached translation.
+    def cached_all(self, vpns: np.ndarray | slice) -> bool:
+        """True when every VPN (an array, or a slice over a run) has a
+        cached translation.
 
         Hot-path helper for the MMU's TLB fast path: no defensive copy,
         no bounds check (the MMU validates the batch first).
