@@ -124,10 +124,10 @@ class PhysicalMemory:
         if arr.size == 0:
             return
         self._check(arr)
-        n = np.uint64(arr.size)
-        tokens = np.arange(1, arr.size + 1, dtype=np.uint64) + self._write_seq
-        self._write_seq += n
-        self._content[arr] = tokens
+        # Tokens seq+1 .. seq+n in one arange; Python ints keep the dtype.
+        start = int(self._write_seq) + 1
+        self._content[arr] = np.arange(start, start + arr.size, dtype=np.uint64)
+        self._write_seq += np.uint64(arr.size)
 
     def store_trusted(self, frames: np.ndarray, tokens: np.ndarray) -> None:
         """:meth:`store` minus conversion and bounds checks.
@@ -156,5 +156,7 @@ class PhysicalMemory:
         self._content[arr] = tok
 
     def _check(self, arr: np.ndarray) -> None:
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_frames):
+        # One reduction checks both ends: a negative frame viewed as
+        # uint64 exceeds any frame count.
+        if arr.size and arr.view(np.uint64).max() >= self.n_frames:
             raise InvalidAddressError("physical frame out of range")

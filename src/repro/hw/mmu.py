@@ -199,9 +199,10 @@ class Mmu:
         per-page mask) whose pages are all TLB-cached with PTE
         present+accessed (+writable and PTE/EPT dirty for written pages):
         no fault can fire and no dirty bit can transition 0->1, so no PML
-        entry can be logged.  The only remaining architectural effects
-        are the content-token writes and the TLB refresh, both performed
-        here bit-identically to the walk.
+        entry can be logged.  The only remaining architectural effect is
+        the content-token write, performed here bit-identically to the
+        walk; the TLB already holds every translation, so nothing is
+        refilled.
 
         Returns ``False`` when the batch must take the full walk.
         """
@@ -220,7 +221,9 @@ class Mmu:
         if fw.size and not ((fw & need_w) == need_w).all():
             return False
         g = pt.gpfn[r]
-        if (g < 0).any() or int(g.max()) >= self.ept.n_guest_frames:
+        # One reduction checks both ends: -1 (unmapped) viewed as uint64
+        # exceeds any guest frame number.
+        if int(g.view(np.uint64).max()) >= self.ept.n_guest_frames:
             return False
         ef = self.ept.flags[g]
         if not ((ef & EPT_ACCESSED) != 0).all():
@@ -232,7 +235,6 @@ class Mmu:
         if h.size and (h < 0).any():
             return False
         self.host_mem.write(h)
-        tlb.fill(v)
         return True
 
     # ------------------------------------------------------------------
