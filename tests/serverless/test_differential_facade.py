@@ -3,7 +3,7 @@
 ``UnifiedDirtyTracker(mode=X)`` must produce bit-identical dirty sets —
 and leave the whole simulated machine in a bit-identical state — to
 driving technique X directly, for every registered mode, with and
-without the MMU walk cache, and under the chaos leg (fault injection
+without the MMU's TLB fast path, and under the chaos leg (fault injection
 seeded by ``faultmatrix.CHAOS_SEED``).  Each scenario runs the same fixed
 script twice on fresh stacks differing only in facade-vs-direct.
 """
@@ -36,10 +36,13 @@ _CHAOS_KWARGS = {
 }
 
 
-def _run(mode: str, facade: bool, chaos: bool = False):
+def _run(mode: str, facade: bool, fast_path: bool = True, chaos: bool = False):
     """One fixed scenario; returns (collects, machine-state tuple)."""
     stack = build_stack(vm_mb=16, pml_buffer_entries=32)
     mmu = stack.vm.mmu
+    if not fast_path:
+        # Every batch takes the full walk.
+        mmu._try_fast_path = lambda *_: False
     proc = stack.kernel.spawn("app", n_pages=N_PAGES)
     proc.space.add_vma(N_PAGES)
     rng = np.random.default_rng(13)
@@ -57,6 +60,9 @@ def _run(mode: str, facade: bool, chaos: bool = False):
         for _ in range(ROUNDS):
             vpns = rng.integers(0, N_PAGES, size=N_PAGES // 2)
             stack.kernel.access(proc, vpns, True)
+            # Rewrite the same pages as a sorted batch: every translation
+            # is now cached and dirty, so this one can take the fast path.
+            stack.kernel.access(proc, np.unique(vpns), True)
             collects.append([int(v) for v in tracker.collect()])
         tracker.stop()
 
@@ -80,16 +86,20 @@ def _run(mode: str, facade: bool, chaos: bool = False):
         proc.space.pt.flags.tolist(),
         stack.vm.ept.flags.tolist(),
         mmu.host_mem._content.tolist(),
+        mmu.n_fast_batches,
     )
     return collects, state
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_facade_bit_identical(mode):
-    f_collects, f_state = _run(mode, facade=True)
-    d_collects, d_state = _run(mode, facade=False)
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_facade_bit_identical(mode, fast_path):
+    f_collects, f_state = _run(mode, facade=True, fast_path=fast_path)
+    d_collects, d_state = _run(mode, facade=False, fast_path=fast_path)
     assert f_collects == d_collects
     assert f_state == d_state
+    # Both legs are meaningful: the fast path fires only when enabled.
+    assert (f_state[-1] > 0) == fast_path
 
 
 @pytest.mark.parametrize("mode", MODES)
