@@ -7,8 +7,6 @@ pass that keeps the full non-quick sweep tractable:
 * ``Mmu.access`` batch throughput, production walk + TLB fast path vs
   the multipass reference walk :class:`repro.emu.RefMmu` (target: >= 2x
   on a 1M-access workload);
-* ``GuestKernel.access_plan`` vs the same batches as per-call
-  ``access`` (target: no slower);
 * ``PageTable.reverse_lookup`` with the cached GPFN->VPN index vs a
   cold index per lookup;
 * ``runner all --quick`` end to end, optimized (memo-cache +
@@ -110,73 +108,6 @@ def test_mmu_access_throughput(benchmark):
           f"fused {fused_s:.3f}s ({fused_mps:.1f} M/s), "
           f"multipass {multi_s:.3f}s, speedup {speedup:.2f}x")
     assert speedup >= 2.0
-
-
-def test_access_plan_throughput(benchmark):
-    """Access-plan submission vs per-batch kernel calls: one
-    ``access_plan`` per phase pays the per-call kernel/scheduler/dispatch
-    overhead once, so the same op stream must run no slower than the
-    batch-at-a-time API (median plan/per-batch ratio <= 1.05)."""
-    from repro.experiments.harness import build_stack
-    from repro.guest.plan import PlanBuilder
-
-    n_pages = 8192
-    batch = 2048
-    batches = [np.arange(lo, lo + batch, dtype=np.int64)
-               for lo in range(0, n_pages, batch)]
-    rounds = max(1, 4 * TARGET_ACCESSES // n_pages)
-
-    def make_leg():
-        stack = build_stack(vm_mb=64)
-        kernel = stack.kernel
-        proc = kernel.spawn("bench", n_pages=n_pages)
-        proc.space.add_vma(n_pages)
-        kernel.access(proc, np.arange(n_pages, dtype=np.int64), True)
-        return kernel, proc
-
-    kernel_p, proc_p = make_leg()
-    b = PlanBuilder()
-    for vpns in batches:
-        b.write(vpns)
-    plan = b.build()
-
-    def drive_plan() -> float:
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            kernel_p.access_plan(proc_p, plan)
-        return time.perf_counter() - t0
-
-    kernel_b, proc_b = make_leg()
-
-    def drive_batches() -> float:
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            for vpns in batches:
-                kernel_b.access(proc_b, vpns, True)
-        return time.perf_counter() - t0
-
-    drive_plan(), drive_batches()  # warm both legs to the TLB fast path
-    # Median of per-pair ratios, alternating which side runs first (the
-    # recipe of test_smp_overhead_at_one_vcpu).
-    plan_runs = [benchmark.pedantic(drive_plan, rounds=1, iterations=1)]
-    batch_runs = [drive_batches()]
-    for i in range(8):
-        if i % 2:
-            plan_runs.append(drive_plan())
-            batch_runs.append(drive_batches())
-        else:
-            batch_runs.append(drive_batches())
-            plan_runs.append(drive_plan())
-    ratios = sorted(p / q for p, q in zip(plan_runs, batch_runs))
-    ratio = ratios[len(ratios) // 2]
-    plan_s, batch_s = min(plan_runs), min(batch_runs)
-    benchmark.extra_info.update(
-        plan_s=plan_s, per_batch_s=batch_s, ratio=ratio,
-    )
-    print(f"\naccess_plan {rounds}x{len(batches)} batches: "
-          f"plan {plan_s:.3f}s, per-batch {batch_s:.3f}s, "
-          f"median ratio {ratio:.3f}x")
-    assert ratio <= 1.05
 
 
 def test_reverse_lookup_index_reuse(benchmark):

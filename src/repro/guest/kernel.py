@@ -34,7 +34,6 @@ from repro.core.costs import EV_COMPUTE, CostModel
 from repro.errors import GuestError
 from repro.guest.faults import ProcessFaultHandler
 from repro.guest.idt import Idt
-from repro.guest.plan import AccessPlan, PlanSegment
 from repro.guest.process import AddressSpace, Process, ProcessState
 from repro.guest.procfs import ProcFs
 from repro.guest.scheduler import DEFAULT_SWITCH_INTERVAL_US, Scheduler
@@ -189,57 +188,9 @@ class GuestKernel:
             return np.empty(0, dtype=np.int64)
         return got
 
-    def access_plan(
-        self,
-        process: Process,
-        plan: AccessPlan | list,
-    ) -> list[MmuResult]:
-        """Execute a compiled :class:`~repro.guest.plan.AccessPlan`.
-
-        Semantically identical to issuing the plan's ops one by one
-        through :meth:`access` / :meth:`compute` — same op order, same
-        scheduler driving, same per-batch listener notifications — but
-        with the per-call overhead (state checks, vCPU lookup, handler
-        resolution) paid once per plan instead of once per batch.
-
-        ``plan`` may also be a plain list of ``(vpns, write)`` batches,
-        which is wrapped as a transient single-segment plan.
-
-        The executing vCPU is re-resolved after any compute charge that
-        fired context switches, since quantum expiry rotates the process
-        to the next vCPU on SMP configurations.
-        """
-        if isinstance(plan, list):
-            plan = AccessPlan.from_batches(plan)
-        if process.state is ProcessState.DEAD:
-            raise GuestError(f"access by dead process {process.pid}")
-        if process.state is ProcessState.STOPPED:
-            raise GuestError(f"access by stopped process {process.pid}")
-        handler = self._fault_handlers[process.pid]
-        mmu = self.vm.mmu
-        scheduler = self.scheduler
-        listeners = self._access_listeners
-        clock = self.clock
-        pt = process.space.pt
-        tlbs = process.space.tlbs
-        vcpus = self.vm.vcpus
-        k = scheduler.vcpu_of(process)
-        results: list[MmuResult] = []
-        for item in plan.items:
-            if isinstance(item, PlanSegment):
-                rs = mmu.access_segment(
-                    pt, tlbs[k], item, handler, pml=vcpus[k].pml
-                )
-                if listeners:
-                    for r in rs:
-                        for listener in listeners:
-                            listener(process, r)
-                results.extend(rs)
-            else:
-                clock.charge(item, World.TRACKED, EV_COMPUTE)
-                if scheduler.notify_runtime(process, item):
-                    k = scheduler.vcpu_of(process)
-        return results
+    # Nothing in repro calls this; benchmarks/e2e/layers.py wraps it by name.
+    def access_plan(self, process: Process, batches: list) -> list[MmuResult]:
+        return [self.access(process, v, w) for v, w in batches]
 
     def access_subpage(
         self, process: Process, vpn: int, subpage: int, write: bool = True

@@ -314,17 +314,16 @@ class Mmu:
         return res
 
     # ------------------------------------------------------------------
+    # Nothing in repro calls this; benchmarks/e2e/layers.py wraps it by name.
     def access_segment(
         self,
         pt: PageTable,
         tlb: Tlb,
-        seg,
+        batches: list,
         handlers: FaultHandlers,
         pml: PmlCircuit | None = None,
     ) -> list[MmuResult]:
-        """Execute one compiled plan segment (a run of access batches);
-        ``seg`` is a :class:`repro.guest.plan.PlanSegment`."""
-        return [self.access(pt, tlb, v, w, handlers, pml) for v, w in seg.batches]
+        return [self.access(pt, tlb, v, w, handlers, pml) for v, w in batches]
 
     # ------------------------------------------------------------------
     def read_page_contents(self, pt: PageTable, vpns: np.ndarray) -> np.ndarray:

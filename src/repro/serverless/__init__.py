@@ -24,7 +24,7 @@ from repro.serverless.driver import (
     TrafficGenerator,
     run_serverless,
 )
-from repro.serverless.instance import FunctionInstance, plan_write_vpns
+from repro.serverless.instance import FunctionInstance
 from repro.serverless.snapshot import (
     Snapshot,
     SnapshotDiff,
@@ -44,7 +44,6 @@ __all__ = [
     "TrafficGenerator",
     "UnifiedDirtyTracker",
     "output_tokens",
-    "plan_write_vpns",
     "run_serverless",
     "stable_token",
 ]

@@ -6,6 +6,8 @@ tenant (the production serverless arrival pattern: cold bases with
 correlated spikes).  :func:`run_serverless` executes the schedule on one
 guest kernel:
 
+* each tenant has ``plan_variants`` seeded access plans (:func:`tenant_plans`):
+  the sorted pages a function reads and the sorted subset it writes;
 * every invocation runs a :class:`~repro.serverless.instance.
   FunctionInstance` lifecycle against its tenant's current snapshot;
 * the commit sequence is the sequential completion order (the simulator
@@ -37,8 +39,7 @@ from repro.core.clock import World
 from repro.core.costs import EV_SNAPSHOT_COPY
 from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
-from repro.guest.plan import AccessPlan, PlanBuilder
-from repro.serverless.instance import FunctionInstance, plan_write_vpns
+from repro.serverless.instance import FunctionInstance
 from repro.serverless.snapshot import Snapshot
 
 __all__ = [
@@ -128,10 +129,12 @@ class TrafficGenerator:
         return bursts
 
 
-def tenant_plans(cfg: ServerlessConfig, tenant_idx: int) -> list[AccessPlan]:
-    """The tenant's frozen plan variants (built once, reused by every
-    instance)."""
-    plans: list[AccessPlan] = []
+def tenant_plans(
+    cfg: ServerlessConfig, tenant_idx: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tenant's plan variants as ``(touched, written)`` VPN arrays,
+    each sorted and distinct (built once, reused by every instance)."""
+    plans: list[tuple[np.ndarray, np.ndarray]] = []
     n_touch = max(1, int(cfg.region_pages * cfg.touch_frac))
     n_write = max(1, int(n_touch * cfg.write_frac))
     for variant in range(cfg.plan_variants):
@@ -142,14 +145,7 @@ def tenant_plans(cfg: ServerlessConfig, tenant_idx: int) -> list[AccessPlan]:
         written = np.sort(
             rng.choice(touched, size=n_write, replace=False)
         ).astype(np.int64)
-        plans.append(
-            PlanBuilder()
-            .read(touched)
-            .compute(cfg.compute_us)
-            .write(written)
-            .compute(cfg.compute_us)
-            .build()
-        )
+        plans.append((touched, written))
     return plans
 
 
@@ -189,11 +185,6 @@ def run_serverless(
     bursts = gen.bursts()
     snapshots = {t: Snapshot.base(f"fn-{t}", cfg.region_pages) for t in gen.tenants}
     plans = {i: tenant_plans(cfg, i) for i in range(cfg.n_tenants)}
-    write_sets = {
-        (i, v): plan_write_vpns(p)
-        for i, variants in plans.items()
-        for v, p in enumerate(variants)
-    }
     per_tenant = dict.fromkeys(gen.tenants, 0)
     n_pages_diffed = 0
     n_pages_merged = 0
@@ -209,7 +200,7 @@ def run_serverless(
                 inv.tenant,
                 inv.request_id,
                 plans[inv.tenant_idx][inv.plan_idx],
-                write_vpns=write_sets[(inv.tenant_idx, inv.plan_idx)],
+                cfg.compute_us,
                 tracker_kwargs=tracker_kwargs,
             )
             diff = instance.run(commit_seq)

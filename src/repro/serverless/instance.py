@@ -6,8 +6,9 @@ The lifecycle mirrors a faabric/Firecracker-style invocation:
 2. **prefault** the region with reads (demand paging maps the pages
    without dirtying them);
 3. **map** the snapshot's contents over the region (CoW restore);
-4. **track** — start the facade, execute the tenant's (frozen, reused)
-   access plan, stamp the function's deterministic output tokens;
+4. **track** — start the facade, run the tenant's access plan (read the
+   touched pages, compute, write the written pages, compute), stamp the
+   function's deterministic output tokens;
 5. **diff** — extract the byte-exact delta with the commit sequence the
    driver assigned;
 6. **exit** — stop tracking, tear the process down, frames return to the
@@ -27,33 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.guest.kernel import GuestKernel
-from repro.guest.plan import AccessPlan, PlanSegment
-from repro.hw.pageset import unique_pages
 from repro.serverless.snapshot import Snapshot, SnapshotDiff, output_tokens
 from repro.serverless.tracker import UnifiedDirtyTracker
 
-__all__ = ["FunctionInstance", "plan_write_vpns"]
+__all__ = ["FunctionInstance"]
 
 #: Modes whose loss paths must resync for the merged diff to be complete.
 _RESYNC_MODES = frozenset({"spml", "epml"})
-
-
-def plan_write_vpns(plan: AccessPlan) -> np.ndarray:
-    """The distinct VPNs a plan writes, ascending (its output footprint)."""
-    written: list[np.ndarray] = []
-    for item in plan.items:
-        if not isinstance(item, PlanSegment):
-            continue
-        for vpns, write in item.batches:
-            if write is True:
-                written.append(vpns)
-            elif write is not False:
-                written.append(vpns[write])
-    if not written:
-        return np.empty(0, dtype=np.int64)
-    written_vpns = np.concatenate(written)
-    # VPNs are non-negative, so the largest one bounds the domain.
-    return unique_pages(written_vpns, int(written_vpns.max()) + 1)
 
 
 class FunctionInstance:
@@ -66,8 +47,8 @@ class FunctionInstance:
         snapshot: Snapshot,
         tenant: str,
         request_id: int,
-        plan: AccessPlan,
-        write_vpns: np.ndarray | None = None,
+        plan: tuple[np.ndarray, np.ndarray],
+        compute_us: float,
         tracker_kwargs: dict | None = None,
     ) -> None:
         self.kernel = kernel
@@ -75,12 +56,10 @@ class FunctionInstance:
         self.snapshot = snapshot
         self.tenant = tenant
         self.request_id = request_id
-        self.plan = plan
-        #: Precomputed per-plan by the driver (plans are reused across
-        #: thousands of instances; the scan is per-plan, not per-instance).
-        self.write_vpns = (
-            write_vpns if write_vpns is not None else plan_write_vpns(plan)
-        )
+        #: Sorted, distinct VPNs: the pages read, and the subset written
+        #: (the function's output footprint).
+        self.touched_vpns, self.write_vpns = plan
+        self.compute_us = compute_us
         kwargs = dict(tracker_kwargs or {})
         if mode in _RESYNC_MODES:
             # Short-lived instances get exactly one collect; a lost batch
@@ -105,7 +84,10 @@ class FunctionInstance:
         region = facade.map_regions(self.snapshot)
         facade.start()
         try:
-            kernel.access_plan(proc, self.plan)
+            kernel.access(proc, self.touched_vpns, False)
+            kernel.compute(proc, self.compute_us)
+            kernel.access(proc, self.write_vpns, True)
+            kernel.compute(proc, self.compute_us)
             if self.write_vpns.size:
                 kernel.vm.mmu.write_page_contents(
                     proc.space.pt,

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
-from repro.guest.plan import PlanBuilder
 from repro.workloads.base import MemoryContext, Workload
 
 __all__ = ["ArrayParser"]
@@ -41,28 +40,11 @@ class ArrayParser(Workload):
 
     def _run(self, ctx: MemoryContext) -> None:
         region = ctx.alloc_region(self.footprint_pages, "array")
-        if ctx.supports_plans:
-            # One frozen plan, built once and run every pass.
-            b = PlanBuilder()
-            for lo in range(0, region.n_pages, BATCH_PAGES):
-                hi = min(lo + BATCH_PAGES, region.n_pages)
-                b.write(region.vpns[lo:hi])
-                b.compute((hi - lo) * self.us_per_page)
-            plan = b.build()
-            # mlockall(): fault everything in up front (Listing 1 pins
-            # pages) — the first execution takes the full walks.
-            ctx.run_plan(plan)
-            for _ in range(self.passes - 1):
+        # mlockall(): the first pass faults everything in (Listing 1 pins
+        # pages) and takes the full walks.
+        for i in range(self.passes):
+            if i:
                 ctx.checkpoint_opportunity()
-                ctx.run_plan(plan)
-            return
-        # Per-batch fallback (GC substrate routes touches via the heap).
-        for lo in range(0, region.n_pages, BATCH_PAGES):
-            hi = min(lo + BATCH_PAGES, region.n_pages)
-            ctx.write(region, np.arange(lo, hi))
-            self._touch_cost(ctx, hi - lo)
-        for _ in range(self.passes - 1):
-            ctx.checkpoint_opportunity()
             for lo in range(0, region.n_pages, BATCH_PAGES):
                 hi = min(lo + BATCH_PAGES, region.n_pages)
                 ctx.write(region, np.arange(lo, hi))

@@ -13,6 +13,8 @@ abstracts how memory is obtained:
 
 This duality mirrors the paper: the *same* applications appear in both
 the CRIU and the Boehm evaluations; only the memory substrate differs.
+Both contexts take the same calls, one batch at a time (``write`` or
+``read``, then ``compute``), so every workload has a single driver path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
-from repro.guest.plan import AccessPlan
 from repro.guest.process import Process
 
 __all__ = [
@@ -58,13 +59,6 @@ class Region:
 class MemoryContext(abc.ABC):
     """How a workload touches memory."""
 
-    #: True when the context can execute compiled access plans
-    #: (:mod:`repro.guest.plan`).  Plan-aware workloads gate on this and
-    #: fall back to per-batch ``write``/``read``/``compute`` calls
-    #: otherwise (the GC substrate routes every touch through the heap,
-    #: so raw-VPN plans do not apply to it).
-    supports_plans: bool = False
-
     def __init__(self, kernel: GuestKernel, process: Process) -> None:
         self.kernel = kernel
         self.process = process
@@ -80,23 +74,6 @@ class MemoryContext(abc.ABC):
     @abc.abstractmethod
     def read(self, region: Region, offsets: np.ndarray) -> None: ...
 
-    def write_many(self, region: Region, offsets_list: list[np.ndarray]) -> None:
-        """Write several batches in one submission (plan-aware contexts
-        amortize the per-batch kernel entry; the default loops)."""
-        for offsets in offsets_list:
-            self.write(region, offsets)
-
-    def read_many(self, region: Region, offsets_list: list[np.ndarray]) -> None:
-        """Read several batches in one submission (see write_many)."""
-        for offsets in offsets_list:
-            self.read(region, offsets)
-
-    def run_plan(self, plan: AccessPlan) -> None:
-        """Execute a compiled access plan (plan-aware contexts only)."""
-        raise WorkloadError(
-            f"{type(self).__name__} does not execute access plans"
-        )
-
     def compute(self, us: float) -> None:
         """The workload's own CPU work."""
         self.kernel.compute(self.process, us)
@@ -107,8 +84,6 @@ class MemoryContext(abc.ABC):
 
 class FlatContext(MemoryContext):
     """Anonymous VMAs; first touch demand-pages."""
-
-    supports_plans = True
 
     def alloc_region(self, n_pages: int, name: str = "region") -> Region:
         vma = self.process.space.add_vma(n_pages, name)
@@ -125,26 +100,6 @@ class FlatContext(MemoryContext):
         if offsets.size == 0:
             return
         self.kernel.access(self.process, region.vpns[offsets], False)
-
-    def _many(
-        self, region: Region, offsets_list: list[np.ndarray], write: bool
-    ) -> None:
-        batches = []
-        for offsets in offsets_list:
-            offsets = np.asarray(offsets, dtype=np.int64)
-            if offsets.size:
-                batches.append((region.vpns[offsets], write))
-        if batches:
-            self.kernel.access_plan(self.process, batches)
-
-    def write_many(self, region: Region, offsets_list: list[np.ndarray]) -> None:
-        self._many(region, offsets_list, True)
-
-    def read_many(self, region: Region, offsets_list: list[np.ndarray]) -> None:
-        self._many(region, offsets_list, False)
-
-    def run_plan(self, plan: AccessPlan) -> None:
-        self.kernel.access_plan(self.process, plan)
 
 
 class GcContext(MemoryContext):

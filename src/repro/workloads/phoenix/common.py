@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
-from repro.guest.plan import PlanBuilder
 from repro.workloads.base import MemoryContext, Workload
 
 __all__ = ["PhoenixApp", "BATCH_PAGES"]
@@ -58,17 +57,9 @@ class PhoenixApp(Workload):
     ) -> None:
         """Stream over a region batch-wise, paying compute per page.
 
-        The checkpoint opportunity stays *per batch* (it is the GC
-        trigger point and the experiment harness's collect hook), so a
-        plan can only span one batch: each read+compute pair becomes a
-        frozen mini-plan, compiled once per (region, factor) and reused
-        across the repeated streams of iterative apps.
+        The checkpoint opportunity is per batch: it is the GC trigger
+        point and the experiment harness's collect hook.
         """
-        if ctx.supports_plans and on_batch is None:
-            for plan in self._seq_plans(region, compute_factor):
-                ctx.run_plan(plan)
-                ctx.checkpoint_opportunity()
-            return
         for lo in range(0, region.n_pages, BATCH_PAGES):
             hi = min(lo + BATCH_PAGES, region.n_pages)
             ctx.read(region, np.arange(lo, hi))
@@ -76,26 +67,6 @@ class PhoenixApp(Workload):
             if on_batch is not None:
                 on_batch(lo, hi)
             ctx.checkpoint_opportunity()
-
-    def _seq_plans(self, region, compute_factor: float) -> list:
-        """Compiled per-batch plans for one sequential stream (cached;
-        the cached region reference also pins it against id() reuse)."""
-        cache = self.__dict__.setdefault("_seq_plan_cache", {})
-        key = (id(region), compute_factor)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
-        plans = []
-        for lo in range(0, region.n_pages, BATCH_PAGES):
-            hi = min(lo + BATCH_PAGES, region.n_pages)
-            plans.append(
-                PlanBuilder()
-                .read(region.vpns[lo:hi])
-                .compute((hi - lo) * self.us_per_page * compute_factor)
-                .build()
-            )
-        cache[key] = (region, plans)
-        return plans
 
     def _require(self, *names: str) -> list:
         out = []

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
-from repro.guest.plan import PlanBuilder
 from repro.hw.pageset import unique_pages
 from repro.workloads.base import MemoryContext, Workload
 
@@ -68,24 +67,12 @@ class KvEngine(Workload):
         # (PYTHONHASHSEED), which made runs non-reproducible.
         rng = np.random.default_rng(zlib.crc32(self.name.encode()) & 0xFFFF)
         done = 0
-        plans = ctx.supports_plans
         while done < self.n_iter:
             n_ops = min(OPS_PER_BATCH, self.n_iter - done)
             offsets = unique_pages(
                 self.target_pages(rng, done, n_ops, arena.n_pages), arena.n_pages
             )
-            if plans:
-                # Offsets are freshly drawn each batch, so the plan is
-                # transient (no copies, no segment memoization) — the win
-                # is the single kernel entry for the write+compute pair.
-                ctx.run_plan(
-                    PlanBuilder()
-                    .write(arena.vpns[offsets])
-                    .compute(n_ops * self.us_per_op)
-                    .build_transient()
-                )
-            else:
-                ctx.write(arena, offsets)
-                ctx.compute(n_ops * self.us_per_op)
+            ctx.write(arena, offsets)
+            ctx.compute(n_ops * self.us_per_op)
             done += n_ops
             ctx.checkpoint_opportunity()

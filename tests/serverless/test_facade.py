@@ -8,6 +8,8 @@ from repro.errors import TrackingError
 from repro.faults.auditor import CompletenessAuditor
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
+from repro.serverless.driver import ServerlessConfig, tenant_plans
+from repro.serverless.instance import FunctionInstance
 from repro.serverless.snapshot import Snapshot, output_tokens
 from repro.serverless.tracker import UnifiedDirtyTracker
 
@@ -98,3 +100,34 @@ def test_facade_is_auditable(stack):
     assert report.technique == "epml"
     assert not report.silent_loss
     assert report.capture_rate == 1.0
+
+
+def test_instance_collects_exactly_its_write_footprint(stack, monkeypatch):
+    """Oracle mode: for every tenant variant, the dirty set an instance
+    collects is its ``write_vpns``, which is sorted and distinct."""
+    cfg = ServerlessConfig(n_tenants=2, region_pages=N_PAGES)
+    collected = []
+    get_dirty_offsets = UnifiedDirtyTracker.get_dirty_offsets
+
+    def spy(self, region):
+        dirty = get_dirty_offsets(self, region)
+        collected.append(region.start_vpn + dirty)
+        return dirty
+
+    monkeypatch.setattr(UnifiedDirtyTracker, "get_dirty_offsets", spy)
+    snap = Snapshot.base("fn", N_PAGES)
+    request_id = 0
+    for tenant_idx in range(cfg.n_tenants):
+        for plan in tenant_plans(cfg, tenant_idx):
+            instance = FunctionInstance(
+                stack.kernel, "oracle", snap, f"t{tenant_idx}", request_id,
+                plan, cfg.compute_us,
+            )
+            write_vpns = instance.write_vpns
+            assert write_vpns.size and (np.diff(write_vpns) > 0).all()
+            collected.clear()
+            instance.run(commit_seq=request_id)
+            [dirty] = collected
+            np.testing.assert_array_equal(dirty, write_vpns)
+            request_id += 1
+    assert request_id == cfg.n_tenants * cfg.plan_variants
