@@ -160,14 +160,16 @@ class OohModule:
 
     A kernel module loads once per kernel: use :meth:`shared` (what the
     tracker techniques do) unless a test needs an isolated instance.
-    """
 
-    _instances: "weakref.WeakKeyDictionary[GuestKernel, OohModule]"
+    The kernel owns its shared module (``kernel.ooh_module``); the module
+    reaches the kernel through a weak reference, so a dropped stack is
+    freed by reference counting even after SPML/EPML ran on it.
+    """
 
     def __init__(
         self, kernel: GuestKernel, ring_capacity: int = DEFAULT_RING_CAPACITY
     ) -> None:
-        self.kernel = kernel
+        self._kernel = weakref.ref(kernel)
         self.ring_capacity = ring_capacity
         self.clock: SimClock = kernel.clock
         self.costs: CostModel = kernel.costs
@@ -193,11 +195,13 @@ class OohModule:
         cls, kernel: GuestKernel, ring_capacity: int = DEFAULT_RING_CAPACITY
     ) -> "OohModule":
         """The per-kernel module instance (insmod once)."""
-        module = cls._instances.get(kernel)
-        if module is None:
-            module = cls(kernel, ring_capacity)
-            cls._instances[kernel] = module
-        return module
+        if kernel.ooh_module is None:
+            kernel.ooh_module = cls(kernel, ring_capacity)
+        return kernel.ooh_module
+
+    @property
+    def kernel(self) -> GuestKernel:
+        return self._kernel()
 
     @property
     def vcpu(self):
@@ -416,11 +420,16 @@ class OohModule:
         return att
 
     def _make_guest_full_handler(self, vc):
-        """Hardware path: ``vc``'s buffer full -> posted self-IPI on ``vc``."""
+        """Hardware path: ``vc``'s buffer full -> posted self-IPI on ``vc``.
+
+        The handler lives on ``vc``'s PML circuit, so it holds the vCPU's
+        id and interrupt controller, never the vCPU itself (no cycle).
+        """
+        vcpu_id, interrupts = vc.vcpu_id, vc.interrupts
 
         def on_full(entries: np.ndarray) -> None:
-            self._pending_guest_entries.append((vc.vcpu_id, entries))
-            vc.interrupts.post(VECTOR_OOH_PML_FULL)
+            self._pending_guest_entries.append((vcpu_id, entries))
+            interrupts.post(VECTOR_OOH_PML_FULL)
 
         return on_full
 
@@ -668,6 +677,3 @@ class OohLib:
             self.costs.params.ioctl_deact_pml_us, World.TRACKER, EV_IOCTL_DEACT_PML
         )
         attachment.detach()
-
-
-OohModule._instances = weakref.WeakKeyDictionary()

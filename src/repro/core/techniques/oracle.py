@@ -31,7 +31,6 @@ class OracleTracker(DirtyPageTracker):
         # per-page Python set churn (the oracle listener runs on every
         # access batch of every baseline measurement).
         self._dirty = np.zeros(process.space.pt.n_pages, dtype=bool)
-        self._listener = self._on_access
 
     def _on_access(self, process: Process, result: MmuResult) -> None:
         if process.pid == self.process.pid and result.newly_pte_dirty.size:
@@ -47,7 +46,7 @@ class OracleTracker(DirtyPageTracker):
             # oracle invalidates them all directly (costless — no charged
             # shootdown IPIs).
             self.process.space.invalidate_all(mapped)
-        self.kernel.add_access_listener(self._listener)
+        self.kernel.add_access_listener(self._on_access)
 
     def _do_collect(self) -> np.ndarray:
         # flatnonzero yields ascending VPNs — same order the sorted set
@@ -61,5 +60,6 @@ class OracleTracker(DirtyPageTracker):
         return out
 
     def _do_stop(self) -> None:
-        self.kernel.remove_access_listener(self._listener)
+        # Bound methods compare equal, so this removes the one added.
+        self.kernel.remove_access_listener(self._on_access)
         self._dirty[:] = False

@@ -18,7 +18,6 @@ time).
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -72,10 +71,6 @@ def build_stack(
     ``n_vcpus`` overrides the VM's vCPU count (SMP); when None it comes
     from ``REPRO_VCPUS`` (default 1, the paper's configuration).
     """
-    if vm_mb >= 1024:
-        # Dropped stacks are cyclic garbage: free them before a large build
-        # so peak RSS does not depend on when the GC last ran.
-        gc.collect()
     clock = SimClock()
     costs = CostModel(params=cost_params) if cost_params else CostModel()
     hv = Hypervisor(clock, costs, host_mem_mb=host_mb or (vm_mb + 512))
@@ -269,7 +264,7 @@ class _OpportunityDriver:
     """Triggers CRIU actions at chosen checkpoint opportunities."""
 
     def __init__(self, ctx: FlatContext, actions: dict[int, callable]) -> None:
-        self.ctx = ctx
+        # The context holds the hook; the driver does not hold the context.
         self.actions = actions
         self.count = 0
         ctx.checkpoint_opportunity = self._hook  # type: ignore[method-assign]

@@ -49,6 +49,24 @@ __all__ = ["GuestKernel"]
 AccessListener = Callable[[Process, MmuResult], None]
 
 
+def _shootdown_handler(pending: list) -> Callable[[int], None]:
+    """The VECTOR_TLB_SHOOTDOWN handler draining one vCPU's queue.
+
+    It holds the queue, not the kernel: the handler sits in a vCPU's
+    interrupt controller, which the kernel reaches through its VM.
+    """
+
+    def handle(_vector: int) -> None:
+        while pending:
+            tlb, vpns = pending.pop(0)
+            if vpns is None:
+                tlb.flush()
+            else:
+                tlb.invalidate(vpns)
+
+    return handle
+
+
 class GuestKernel:
     """Linux-like kernel for one VM."""
 
@@ -74,30 +92,21 @@ class GuestKernel:
         #: batch the fused access will still complete.
         self._active_access: dict[int, np.ndarray] = {}
         self._next_pid = 1
+        #: The loaded OoH kernel module (``OohModule.shared`` inserts it);
+        #: the kernel owns it, the module reaches back weakly.
+        self.ooh_module = None
         #: Per-vCPU queues of (tlb, vpns-or-None) shootdown work; drained
         #: by the VECTOR_TLB_SHOOTDOWN handler on the target vCPU (None
         #: means full flush).  Delivery is synchronous, so a queue never
         #: outlives the tlb_shootdown/tlb_flush_all call that filled it.
         self._pending_shootdowns: list[list] = [[] for _ in vm.vcpus]
-        for k, idt in enumerate(self.idts):
-            idt.register(VECTOR_TLB_SHOOTDOWN, self._make_shootdown_handler(k))
+        for idt, pending in zip(self.idts, self._pending_shootdowns):
+            idt.register(VECTOR_TLB_SHOOTDOWN, _shootdown_handler(pending))
 
     @property
     def idt(self) -> Idt:
         """vCPU 0's IDT — single-vCPU compatibility alias."""
         return self.idts[0]
-
-    def _make_shootdown_handler(self, vcpu_id: int) -> Callable[[int], None]:
-        def handle(_vector: int) -> None:
-            pending = self._pending_shootdowns[vcpu_id]
-            while pending:
-                tlb, vpns = pending.pop(0)
-                if vpns is None:
-                    tlb.flush()
-                else:
-                    tlb.invalidate(vpns)
-
-        return handle
 
     # ------------------------------------------------------------------
     # process lifecycle

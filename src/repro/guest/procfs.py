@@ -17,6 +17,8 @@ those belong to ``I(C_/proc, C_tked)``, not to the tracker.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.clock import SimClock, World
@@ -38,9 +40,10 @@ class ProcFs:
     def __init__(self, clock: SimClock, costs: CostModel, kernel=None) -> None:
         self.clock = clock
         self.costs = costs
-        #: Owning guest kernel; when set, TLB invalidations use its
-        #: SMP-correct shootdown path instead of touching only one TLB.
-        self.kernel = kernel
+        #: Owning guest kernel, held weakly (the kernel owns this view);
+        #: when set, TLB invalidations use its SMP-correct shootdown path
+        #: instead of touching only one TLB.
+        self._kernel = weakref.ref(kernel) if kernel is not None else None
 
     def clear_refs(self, process: Process) -> int:
         """``echo 4 > /proc/PID/clear_refs``; returns pages affected."""
@@ -51,8 +54,8 @@ class ProcFs:
         # their (stricter) protection.
         not_ufd = mapped[~pt.flag_mask(mapped, PTE_UFD_WP)]
         pt.clear_flags(not_ufd, PTE_WRITABLE)
-        if self.kernel is not None:
-            self.kernel.tlb_flush_all(process)
+        if self._kernel is not None:
+            self._kernel().tlb_flush_all(process)
         else:
             process.space.tlb.flush()
         n = max(int(process.space.n_pages), 1)

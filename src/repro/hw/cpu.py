@@ -76,6 +76,9 @@ class Vcpu:
         self.pml = PmlCircuit(self.vmcs, capacity=pml_capacity, vcpu_id=vcpu_id)
         self.interrupts = InterruptController(clock, costs, vcpu_id=vcpu_id)
         self.ept: Ept | None = None  # set by the owning VM
+        #: The owning VM's name (Xen's ``v->domain``), set by the VM; a
+        #: name rather than a reference, so the vCPU does not hold its VM.
+        self.domain: str | None = None
         self._exit_handlers: dict[ExitReason, ExitHandler] = {}
         self.n_vmexits = 0
         #: PML-full vmexits swallowed by fault injection (batch vanished).

@@ -73,10 +73,9 @@ class HypercallTable:
             raise HypercallError(f"hypercall {nr:#x} already registered")
         self._handlers[nr] = handler
 
-    def dispatch(self, nr: int, args: tuple) -> object:
-        # args[0] is the issuing vCPU by convention (hypervisor handlers
-        # all take it first); traced so SMP runs show which vCPU called.
-        vcpu_id = getattr(args[0], "vcpu_id", 0) if args else 0
+    def dispatch(self, nr: int, args: tuple, vcpu_id: int = 0) -> object:
+        """Call ``nr``'s handler with ``args``; ``vcpu_id`` names the
+        issuing vCPU in the trace (SMP runs show which vCPU called)."""
         if finj.ACTIVE is not None and finj.ACTIVE.should_fire(
             FaultSite.HYPERCALL_TRANSIENT
         ):

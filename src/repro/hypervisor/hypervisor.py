@@ -15,6 +15,8 @@ Responsibilities reproduced from the paper's Xen patch (§IV, Table II):
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.clock import SimClock, World
@@ -53,7 +55,12 @@ class Hypervisor:
         self.costs = costs if costs is not None else CostModel()
         self.host_mem = PhysicalMemory(Vm.mb(host_mem_mb))
         self.ring_capacity = ring_capacity
-        self.vms: dict[str, Vm] = {}
+        #: Live VMs by name.  Each VM owns this hypervisor (its vCPUs'
+        #: exit handlers are bound to it), so the registry holds the VMs
+        #: weakly: a dropped VM is freed by reference counting.
+        self.vms: weakref.WeakValueDictionary[str, Vm] = (
+            weakref.WeakValueDictionary()
+        )
         self.hypercall_table = hc.HypercallTable()
         self._register_hypercalls()
 
@@ -94,19 +101,24 @@ class Hypervisor:
         self.host_mem.free(vm.ept.hpfn[vm.ept.hpfn >= 0])
 
     def _vm_of(self, vcpu: Vcpu) -> Vm:
-        for vm in self.vms.values():
-            if any(vc is vcpu for vc in vm.vcpus):
-                return vm
-        raise ConfigurationError("vCPU does not belong to any VM")
+        vm = self.vms.get(vcpu.domain)
+        if vm is None or not any(vc is vcpu for vc in vm.vcpus):
+            raise ConfigurationError("vCPU does not belong to any VM")
+        return vm
 
     # ------------------------------------------------------------------
     # PML-full vmexit path
     # ------------------------------------------------------------------
-    def _make_pml_full_trampoline(self, vcpu: Vcpu):
+    @staticmethod
+    def _make_pml_full_trampoline(vcpu: Vcpu):
+        # The trampoline sits on the vCPU's own PML circuit: it reaches
+        # the vCPU weakly so the vCPU is not part of a cycle.
+        vcpu_ref = weakref.ref(vcpu)
+
         def trampoline(entries: np.ndarray) -> None:
             # The CPU raises the vmexit *on the vCPU whose buffer filled*;
             # the handler receives the drained buffer as payload.
-            vcpu.vmexit(ExitReason.PML_FULL, entries)
+            vcpu_ref().vmexit(ExitReason.PML_FULL, entries)
 
         return trampoline
 
@@ -171,22 +183,27 @@ class Hypervisor:
     # ------------------------------------------------------------------
     def _on_hypercall(self, vcpu: Vcpu, payload: object) -> object:
         nr, args = payload  # type: ignore[misc]
-        return self.hypercall_table.dispatch(int(nr), (vcpu, *args))
+        return self.hypercall_table.dispatch(
+            int(nr), (self, vcpu, *args), vcpu.vcpu_id
+        )
 
     def _register_hypercalls(self) -> None:
+        # Unbound functions, called with the hypervisor as first argument:
+        # the table is the hypervisor's and must not hold it back.
         t = self.hypercall_table
-        t.register(hc.HC_OOH_INIT_PML, self._hc_init_pml)
-        t.register(hc.HC_OOH_DEACT_PML, self._hc_deact_pml)
-        t.register(hc.HC_OOH_ENABLE_LOGGING, self._hc_enable_logging)
-        t.register(hc.HC_OOH_DISABLE_LOGGING, self._hc_disable_logging)
-        t.register(hc.HC_OOH_INIT_PML_SHADOW, self._hc_init_pml_shadow)
-        t.register(hc.HC_OOH_DEACT_PML_SHADOW, self._hc_deact_pml_shadow)
-        t.register(hc.HC_OOH_RESET_DIRTY, self._hc_reset_dirty)
-        t.register(hc.HC_OOH_SPP_INIT, self._hc_spp_init)
-        t.register(hc.HC_OOH_SPP_PROTECT, self._hc_spp_protect)
-        t.register(hc.HC_OOH_SPP_UNPROTECT, self._hc_spp_unprotect)
-        t.register(hc.HC_OOH_BALLOON_INFLATE, self._hc_balloon_inflate)
-        t.register(hc.HC_OOH_BALLOON_DEFLATE, self._hc_balloon_deflate)
+        cls = type(self)
+        t.register(hc.HC_OOH_INIT_PML, cls._hc_init_pml)
+        t.register(hc.HC_OOH_DEACT_PML, cls._hc_deact_pml)
+        t.register(hc.HC_OOH_ENABLE_LOGGING, cls._hc_enable_logging)
+        t.register(hc.HC_OOH_DISABLE_LOGGING, cls._hc_disable_logging)
+        t.register(hc.HC_OOH_INIT_PML_SHADOW, cls._hc_init_pml_shadow)
+        t.register(hc.HC_OOH_DEACT_PML_SHADOW, cls._hc_deact_pml_shadow)
+        t.register(hc.HC_OOH_RESET_DIRTY, cls._hc_reset_dirty)
+        t.register(hc.HC_OOH_SPP_INIT, cls._hc_spp_init)
+        t.register(hc.HC_OOH_SPP_PROTECT, cls._hc_spp_protect)
+        t.register(hc.HC_OOH_SPP_UNPROTECT, cls._hc_spp_unprotect)
+        t.register(hc.HC_OOH_BALLOON_INFLATE, cls._hc_balloon_inflate)
+        t.register(hc.HC_OOH_BALLOON_DEFLATE, cls._hc_balloon_deflate)
 
     # -- SPML ---------------------------------------------------------
     def _hc_init_pml(self, vcpu: Vcpu, ring_capacity: int | None = None) -> RingBuffer:
