@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.faults import injector as finj
 from repro.faults.plan import FaultSite
+from repro.hw.pageset import has_repeats
 
 __all__ = ["FrameAllocator", "PhysicalMemory"]
 
@@ -102,7 +103,8 @@ class FrameAllocator:
             return
         if np.any(arr < 0) or np.any(arr >= self.n_frames):
             raise InvalidAddressError("frame number out of range")
-        if not np.all(self._allocated[arr]):
+        # A frame repeated within the call is a double free too.
+        if not np.all(self._allocated[arr]) or has_repeats(arr, self.n_frames):
             raise InvalidAddressError("double free of physical frame")
         self._allocated[arr] = False
         top = self._top

@@ -14,7 +14,10 @@ Each primitive picks one of two exact methods from the batch size alone:
 * otherwise a **sort**, then drop repeats — ``O(k log k)``, so a handful
   of pages in a large address space never pays for an ``n``-entry bitmap.
 
-Both give exactly ``np.unique``'s answer (sorted distinct values, as
+``has_repeats`` first compares neighbours, since a strictly monotonic
+batch repeats nothing, and only dedups a batch that is not.
+
+Both methods give exactly ``np.unique``'s answer (sorted distinct values, as
 int64, never a view of the input), so the choice changes host time only.
 The domain is always passed: a domain-free fallback would have to sort
 large batches too, which costs time and a full copy of the batch.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["count_pages", "page_bitmap", "pages_in", "unique_pages"]
+__all__ = ["count_pages", "has_repeats", "page_bitmap", "pages_in", "unique_pages"]
 
 #: A batch of at least ``n // _BITMAP_RATIO`` values takes the bitmap
 #: path.  Measured crossover of bitmap vs sort (numpy 2.4): ~n/16 to n/8.
@@ -63,6 +66,22 @@ def unique_pages(x: np.ndarray, n: int) -> np.ndarray:
         return np.flatnonzero(page_bitmap(x, n))
     s = np.sort(x)
     return s[_run_starts(s)].astype(np.int64, copy=False)
+
+
+def has_repeats(x: np.ndarray, n: int) -> bool:
+    """Whether a value occurs more than once in ``x`` (all in ``[0, n)``).
+
+    Equal to ``np.unique(x).size != x.size``.  A strictly monotonic batch
+    (ids or frames coming back in the order they were handed out or
+    swept) is settled by comparing neighbours; any other is deduped.
+    """
+    x = np.asarray(x).ravel()
+    if x.size < 2:
+        return False
+    head, tail = x[:-1], x[1:]
+    if (head < tail).all() or (head > tail).all():
+        return False
+    return unique_pages(x, n).size != x.size
 
 
 def count_pages(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,11 +54,11 @@ def build_trees_batch(heap, k: int, depth: int) -> np.ndarray:
     ids = heap.alloc(k * per, NODE_BYTES).reshape(k, per)
     n_internal = (per - 1) // 2
     if n_internal:
-        j = np.arange(n_internal)
-        parents = ids[:, j].ravel()
+        # Node j's children are 2j+1 and 2j+2: each parent twice in a
+        # row, left child first, so ascending ids need no sort.
         heap.set_refs(
-            np.concatenate([parents, parents]),
-            np.concatenate([ids[:, 2 * j + 1].ravel(), ids[:, 2 * j + 2].ravel()]),
+            np.repeat(ids[:, :n_internal], 2, axis=1).ravel(),
+            ids[:, 1:2 * n_internal + 1].ravel(),
         )
     return ids[:, 0]
 

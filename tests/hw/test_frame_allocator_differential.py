@@ -7,6 +7,11 @@ site): a pre-sized numpy free stack ``[n-1, ..., 1, 0]``.  Any sequence of
 allocations, frees (distinct frames per call), over-allocations, double
 frees and out-of-range frees must hand out the same frames in the same
 order, keep the same counts and raise the same error types.
+
+The oracle accepts a frame repeated within one ``free`` call and pushes it
+twice; ``FrameAllocator`` rejects that call as a double free before
+changing anything, so for it the oracle is not called and the state must
+stay equal to the oracle's untouched one.
 """
 
 import numpy as np
@@ -87,7 +92,7 @@ def test_bump_allocator_matches_array_stack(n_frames, data):
     for _ in range(data.draw(st.integers(0, 25), label="n_ops")):
         op = data.draw(
             st.sampled_from(["alloc", "over_alloc", "free", "double_free",
-                             "bad_free"]),
+                             "bad_free", "repeat_free"]),
             label="op",
         )
         if op in ("alloc", "over_alloc"):
@@ -112,6 +117,16 @@ def test_bump_allocator_matches_array_stack(n_frames, data):
                     st.lists(st.sampled_from(held), unique=True),
                     label="frees",
                 )
+            if op == "repeat_free":
+                if not frames:
+                    continue
+                frames = data.draw(st.permutations(
+                    frames + [data.draw(st.sampled_from(frames))]
+                ), label="order")
+                with pytest.raises(InvalidAddressError):
+                    got.free(frames)
+                _same_state(got, want)
+                continue
             if op == "double_free":
                 stale = [f for f in ever_freed if f not in held]
                 if not stale:
@@ -132,6 +147,16 @@ def test_bump_allocator_matches_array_stack(n_frames, data):
             else:
                 assert we is InvalidAddressError
         _same_state(got, want)
+
+
+def test_frame_repeated_in_one_free_is_rejected():
+    fa = FrameAllocator(4)
+    f = fa.alloc(2)
+    with pytest.raises(InvalidAddressError, match="double free"):
+        fa.free([f[0], f[0]])
+    assert (fa.n_free, fa.n_allocated) == (2, 2)
+    fa.free(f)
+    assert sorted(fa.alloc(4).tolist()) == [0, 1, 2, 3]
 
 
 def test_drain_after_frees_matches_array_stack():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.guest.kernel import GuestKernel
-from repro.hw.pageset import count_pages, page_bitmap, pages_in, unique_pages
+from repro.hw.pageset import (
+    count_pages,
+    has_repeats,
+    page_bitmap,
+    pages_in,
+    unique_pages,
+)
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.trackers.boehm.heap import GcHeap
 
@@ -38,6 +44,14 @@ def test_unique_pages_equals_np_unique(case):
     want = np.unique(x)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_has_repeats_equals_np_unique(case):
+    x, n = case
+    for y in (x, x[::-1]):  # ascending, descending or unsorted
+        assert has_repeats(y, n) == (np.unique(y).size != y.size)
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,7 +170,8 @@ def test_heap_alloc_free_sequence_matches_add_at_heap(ops):
 
 
 def _objects_on_pages_ref(heap, vpns):
-    """The former sorted (page, id) index with per-page range lookups."""
+    """The former sorted (page, id) index with per-page range lookups,
+    its hits put in id order (``objects_on_pages`` returns ascending ids)."""
     live = np.nonzero(heap.alive[: heap._n_ids])[0]
     order = np.argsort(heap.obj_page[live], kind="stable")
     sorted_pages, sorted_ids = heap.obj_page[live][order], live[order]
@@ -164,4 +179,4 @@ def _objects_on_pages_ref(heap, vpns):
     hi = np.searchsorted(sorted_pages, vpns, "right")
     lens = hi - lo
     offsets = np.repeat(lo + lens - lens.cumsum(), lens) + np.arange(lens.sum())
-    return sorted_ids[offsets]
+    return np.sort(sorted_ids[offsets])

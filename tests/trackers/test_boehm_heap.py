@@ -107,6 +107,21 @@ def test_double_free_rejected(heap):
         heap.free_objects(ids)
 
 
+@pytest.mark.parametrize("order", [[0, 0], [1, 0, 1]])
+def test_free_rejects_an_id_repeated_in_one_call(heap, order):
+    ids = heap.alloc(4, 512)
+    live = heap.page_live.copy()
+    with pytest.raises(GcError, match="repeated"):
+        heap.free_objects(ids[order])
+    # Nothing changed: every object is live, its page counted once.
+    assert heap.alive[ids].all()
+    np.testing.assert_array_equal(heap.page_live, live)
+    assert heap._free_ids == []
+    again = heap.alloc(2, 512)
+    assert len(set(again.tolist())) == 2
+    assert not set(again.tolist()) & set(ids.tolist())
+
+
 def test_free_large_object_releases_all_span_pages(stack, heap):
     ids = heap.alloc(1, 3 * 4096)
     free_frames = stack.vm.guest_frames.n_free
@@ -133,7 +148,9 @@ def test_add_roots_checks_every_id_before_rooting_any(heap):
     assert not heap.is_root[: heap._n_ids].any()
 
 
-@pytest.mark.parametrize("method", ["add_roots", "remove_roots", "out_neighbors"])
+@pytest.mark.parametrize(
+    "method", ["add_roots", "remove_roots", "out_neighbors", "free_objects"]
+)
 def test_ids_outside_the_id_space_rejected(heap, method):
     ids = heap.alloc(2, 256)
     for bad in (heap._n_ids, -1):
