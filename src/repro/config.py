@@ -1,4 +1,4 @@
-"""One validated run configuration, and the four environment switches.
+"""One validated run configuration, and the three environment switches.
 
 The runner CLI builds one :class:`RunConfig` and passes it by argument;
 only this module reads the environment (DESIGN.md §15).  A bad value

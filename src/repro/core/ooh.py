@@ -46,7 +46,8 @@ from repro.core.costs import (
     EV_REVERSE_MAP,
     CostModel,
 )
-from repro.core.ringbuffer import RingBuffer
+from repro.core.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
+from repro.core.tracking import DirtyPageTracker, report_all_mapped
 from repro.errors import TrackerDetachedError, TrackingError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
@@ -54,20 +55,23 @@ from repro.hw import vmcs as vmcsf
 from repro.hw.interrupts import VECTOR_OOH_PML_FULL
 from repro.hw.pagetable import PTE_DIRTY
 from repro.hw.pageset import unique_pages
+from repro.hw.pml import PmlLevel
 from repro.hypervisor import hypercalls as hc
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 from repro.retry import Retrier
 
-__all__ = ["OohKind", "OohModule", "OohLib", "OohAttachment"]
-
-#: Default per-process ring buffer capacity (entries).
-DEFAULT_RING_CAPACITY = 1 << 20
+__all__ = ["OohKind", "OohModule", "OohLib", "OohAttachment", "OohTracker"]
 
 
 class OohKind(enum.Enum):
     SPML = "spml"
     EPML = "epml"
+
+    def level(self, vcpu) -> PmlLevel:
+        """The PML level this technique logs through on ``vcpu``: SPML the
+        hypervisor's (GPAs), EPML the guest's (GVAs)."""
+        return vcpu.pml.hyp if self is OohKind.SPML else vcpu.pml.guest
 
 
 @dataclass
@@ -101,7 +105,6 @@ class OohAttachment:
         kind: OohKind,
         ring: RingBuffer,
         reverse_map_cache: bool = False,
-        resync_on_loss: bool = False,
     ) -> None:
         self.module = module
         self.process = process
@@ -118,7 +121,7 @@ class OohAttachment:
         #: collect returns every mapped page, so no dirty page can be
         #: missed at the price of over-reporting.  Off by default — the
         #: completeness experiments measure raw loss behaviour.
-        self.resync_on_loss = resync_on_loss
+        self.resync_on_loss = False
         #: Loss-counter baseline; updated by each collect (see
         #: :meth:`OohModule._loss_counter`).
         self._loss_mark = 0
@@ -145,9 +148,17 @@ class OohAttachment:
                     "logged entries lost"
                 )
             raise TrackingError("fetch on a detached OoH attachment")
+        module = self.module
+        retries_before = module.retrier.n_retries
+        stats = CollectStats()
         if self.kind is OohKind.SPML:
-            return self.module._collect_spml(self)
-        return self.module._collect_epml(self)
+            vpns = module._collect_spml(self, stats)
+        else:
+            vpns = module._collect_epml(self, stats)
+        stats.n_retries = module.retrier.n_retries - retries_before
+        stats.n_vpns = int(vpns.size)
+        self.last_stats = stats
+        return vpns
 
     def detach(self) -> None:
         if self.active:
@@ -248,17 +259,13 @@ class OohModule:
         # SMP: loss can occur on any vCPU the tracked process visited,
         # so counters sum across vCPUs.
         vcpus = self.kernel.vm.vcpus
-        if att.kind is OohKind.EPML:
-            return att.ring.total_dropped + sum(
-                vc.pml.n_guest_dropped + vc.pml.n_guest_injected_drops
-                for vc in vcpus
-            )
-        return att.ring.total_dropped + sum(
-            vc.pml.n_hyp_dropped
-            + vc.pml.n_hyp_injected_drops
-            + vc.n_dropped_vmexits
-            for vc in vcpus
+        lost = att.ring.total_dropped + sum(
+            lv.n_dropped + lv.n_injected_drops for lv in map(att.kind.level, vcpus)
         )
+        if att.kind is OohKind.SPML:
+            # SPML's full events are vmexits, which can be swallowed.
+            lost += sum(vc.n_dropped_vmexits for vc in vcpus)
+        return lost
 
     # -- SPML -------------------------------------------------------------
     def _attach_spml(
@@ -293,26 +300,13 @@ class OohModule:
         )
         self._hc(hc.HC_OOH_DISABLE_LOGGING, vcpu=self._cur_vcpu(process))
 
-    def _collect_spml(self, att: OohAttachment) -> np.ndarray:
+    def _collect_spml(self, att: OohAttachment, stats: CollectStats) -> np.ndarray:
         """Flush + drain + reverse-map + re-arm (tracker context)."""
-        retries_before = self.retrier.n_retries
         # Flush residual PML-buffer entries into the ring and pause.
         self._spml_disable(att.process)
-        gpas = att.ring.pop_all()
-        stats = CollectStats(
-            n_entries=int(gpas.size),
-            dropped=att.ring.total_dropped,
-            n_lost_vmexits=sum(
-                vc.n_dropped_vmexits for vc in self.kernel.vm.vcpus
-            ),
-        )
+        gpas = self._pop_ring(att, stats)
+        stats.n_lost_vmexits = sum(vc.n_dropped_vmexits for vc in self.kernel.vm.vcpus)
         mem_pages = att.process.space.n_pages
-        self.clock.charge(
-            self.costs.rb_copy_us(int(gpas.size), mem_pages),
-            World.TRACKER,
-            EV_RB_COPY,
-            int(gpas.size),
-        )
         gpas = unique_pages(gpas, self.kernel.vm.mem_pages)
         # Reverse mapping parses /proc/PID/pagemap: one userspace page-
         # table walk (M16, Fig. 3's "PT walk" slice) whenever addresses
@@ -368,9 +362,6 @@ class OohModule:
         vpns = np.asarray(vpns, dtype=np.int64)
         vpns = self._maybe_resync(att, stats, vpns)
         self._spml_enable(att.process)
-        stats.n_retries = self.retrier.n_retries - retries_before
-        stats.n_vpns = int(vpns.size)
-        att.last_stats = stats
         return vpns
 
     # -- EPML -------------------------------------------------------------
@@ -391,9 +382,10 @@ class OohModule:
                 self.retrier.call(lambda: self.kernel.vm.guest_frames.alloc(1))[0]
             )
             self._guest_buf_gpfns.append(buf_gpfn)
+            # Buffer first: the vmwrite then stores the real address.
+            vc.pml.guest.configure()
             vc.vmwrite(vmcsf.F_GUEST_PML_ADDRESS, buf_gpfn)
-            vc.pml.configure_guest_buffer()
-            vc.pml.on_guest_full = self._make_guest_full_handler(vc)
+            vc.pml.guest.on_full = self._make_guest_full_handler(vc)
         if not self._idt_registered:
             # The self-IPI arrives on whichever vCPU's buffer filled, so
             # the handler registers in every vCPU's IDT.
@@ -442,18 +434,20 @@ class OohModule:
         self.n_self_ipis_handled += 1
         while self._pending_guest_entries:
             src, entries = self._pending_guest_entries.pop(0)
-            self.clock.charge(
-                self.costs.rb_copy_us(int(entries.size), att.process.space.n_pages),
-                World.KERNEL,
-                EV_RB_COPY,
-                int(entries.size),
-            )
-            att.ring.push(entries, source=src)
+            self._copy_to_ring(att, entries, src)
 
-    def _collect_epml(self, att: OohAttachment) -> np.ndarray:
+    def _copy_to_ring(self, att: OohAttachment, entries: np.ndarray, src: int) -> None:
+        """Module copy of guest-level PML entries into the process ring."""
+        self.clock.charge(
+            self.costs.rb_copy_us(int(entries.size), att.process.space.n_pages),
+            World.KERNEL,
+            EV_RB_COPY,
+            int(entries.size),
+        )
+        att.ring.push(entries, source=src)
+
+    def _collect_epml(self, att: OohAttachment, stats: CollectStats) -> np.ndarray:
         """Plain ring drain; re-arm by clearing PTE dirty bits."""
-        retries_before = self.retrier.n_retries
-        stats = CollectStats()
         # Recover notification failures before draining: deliver any
         # injection-delayed self-IPIs, then sweep batches whose IPI was
         # lost outright (they sit in the pending list; the module finds
@@ -467,26 +461,10 @@ class OohModule:
         # every vCPU the process visited may hold some; drained in
         # ascending vCPU id (deterministic merge order).
         for vc in self.kernel.vm.vcpus:
-            residual = vc.pml.drain_guest()
+            residual = vc.pml.guest.drain()
             if residual.size:
-                self.clock.charge(
-                    self.costs.rb_copy_us(
-                        int(residual.size), att.process.space.n_pages
-                    ),
-                    World.KERNEL,
-                    EV_RB_COPY,
-                    int(residual.size),
-                )
-                att.ring.push(residual, source=vc.vcpu_id)
-        gvas = att.ring.pop_all()
-        stats.n_entries = int(gvas.size)
-        stats.dropped = att.ring.total_dropped
-        self.clock.charge(
-            self.costs.rb_copy_us(int(gvas.size), att.process.space.n_pages),
-            World.TRACKER,
-            EV_RB_COPY,
-            int(gvas.size),
-        )
+                self._copy_to_ring(att, residual, vc.vcpu_id)
+        gvas = self._pop_ring(att, stats)
         vpns = unique_pages(gvas, att.process.space.n_pages)
         # Re-arm: the module owns guest PTE dirty bits — no hypervisor.
         # Invalidate alongside (invlpg semantics): a TLB-cached dirty
@@ -500,13 +478,22 @@ class OohModule:
                 "pte_dirty_clear",
                 int(vpns.size),
             )
-        vpns = self._maybe_resync(att, stats, vpns)
-        stats.n_retries = self.retrier.n_retries - retries_before
-        stats.n_vpns = int(vpns.size)
-        att.last_stats = stats
-        return vpns
+        return self._maybe_resync(att, stats, vpns)
 
     # -- shared -------------------------------------------------------------
+    def _pop_ring(self, att: OohAttachment, stats: CollectStats) -> np.ndarray:
+        """The tracker's copy of every ring entry out to userspace."""
+        out = att.ring.pop_all()
+        stats.n_entries = int(out.size)
+        stats.dropped = att.ring.total_dropped
+        self.clock.charge(
+            self.costs.rb_copy_us(int(out.size), att.process.space.n_pages),
+            World.TRACKER,
+            EV_RB_COPY,
+            int(out.size),
+        )
+        return out
+
     def _install_sched_hooks(self, att: OohAttachment) -> None:
         # The vCPU is resolved *at hook time*: sched-out fires before the
         # scheduler's round-robin rotation (old vCPU), sched-in after it
@@ -552,22 +539,36 @@ class OohModule:
                 EV_HC_DEACT_PML_SHADOW,
             )
             self._hc(hc.HC_OOH_DEACT_PML_SHADOW)
-            if self._guest_buf_gpfns:
-                self.kernel.vm.guest_frames.free(self._guest_buf_gpfns)
-                self._guest_buf_gpfns = []
+            self._free_guest_buffers()
         self._attachment = None
+
+    def _free_guest_buffers(self) -> None:
+        if self._guest_buf_gpfns:
+            self.kernel.vm.guest_frames.free(self._guest_buf_gpfns)
+            self._guest_buf_gpfns = []
 
     # -- recovery ---------------------------------------------------------
     def _maybe_resync(
         self, att: OohAttachment, stats: CollectStats, vpns: np.ndarray
     ) -> np.ndarray:
-        """Fold a conservative resync into the result if entries were lost."""
+        """Fold a conservative resync into the result if entries were lost.
+
+        Entries vanished somewhere between the logging circuit and the
+        ring, so the only safe answer is *every mapped page*; the dirty
+        state is re-armed so the next interval starts clean.
+        """
         loss_now = self._loss_counter(att)
         lost = loss_now - att._loss_mark
         att._loss_mark = loss_now
         if lost <= 0 or not att.resync_on_loss:
             return vpns
-        mapped = self._conservative_resync(att)
+        mapped = report_all_mapped(self.kernel, att.process)
+        if mapped.size and att.kind is OohKind.EPML:
+            att.process.space.pt.clear_flags(mapped, PTE_DIRTY)
+            self.kernel.tlb_shootdown(att.process, mapped)
+        elif mapped.size:
+            gpas = att.process.space.pt.translate(mapped)
+            self._hc(hc.HC_OOH_RESET_DIRTY, gpas.astype(np.int64))
         stats.n_resyncs += 1
         stats.resynced = True
         if otr.ACTIVE is not None:
@@ -578,30 +579,6 @@ class OohModule:
                 n_mapped=int(mapped.size),
             )
         return np.union1d(vpns, mapped).astype(np.int64)
-
-    def _conservative_resync(self, att: OohAttachment) -> np.ndarray:
-        """Mark the whole tracked VMA dirty after a detected loss.
-
-        Entries vanished somewhere between the logging circuit and the
-        ring, so the only safe answer is *every mapped page*; the walk is
-        charged like a /proc pagemap scan and the dirty state is re-armed
-        so the next interval starts clean.
-        """
-        mapped = att.process.space.pt.mapped_vpns()
-        self.clock.charge(
-            self.costs.pt_walk_user_us(att.process.space.n_pages),
-            World.TRACKER,
-            "conservative_resync",
-        )
-        if mapped.size == 0:
-            return mapped
-        if att.kind is OohKind.EPML:
-            att.process.space.pt.clear_flags(mapped, PTE_DIRTY)
-            self.kernel.tlb_shootdown(att.process, mapped)
-        else:
-            gpas = att.process.space.pt.translate(mapped)
-            self._hc(hc.HC_OOH_RESET_DIRTY, gpas.astype(np.int64))
-        return mapped.astype(np.int64)
 
     def force_detach(self) -> None:
         """Crash-only teardown: release module state without hypercalls.
@@ -625,18 +602,17 @@ class OohModule:
         if att.kind is OohKind.SPML:
             vm.enabled_by_guest = False
             vm.spml_ring = None
-            if not vm.enabled_by_hyp:
-                for vc in vm.vcpus:
-                    vc.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 0)
         else:
-            # Object-level VMCS writes (no vmwrite cost/mode checks): the
-            # "crashed" module cannot run the normal teardown path.
             for vc in vm.vcpus:
-                vc.pml._guest_vmcs().write(vmcsf.F_CTRL_ENABLE_GUEST_PML, 0)
-                vc.pml.on_guest_full = None
-            if self._guest_buf_gpfns:
-                self.kernel.vm.guest_frames.free(self._guest_buf_gpfns)
-                self._guest_buf_gpfns = []
+                vc.pml.guest.on_full = None
+            self._free_guest_buffers()
+        # Object-level VMCS writes (no vmwrite cost/mode checks): the
+        # "crashed" module cannot run the normal teardown path.  The
+        # hypervisor level stays on while its own dirty logging needs it.
+        if att.kind is OohKind.EPML or not vm.enabled_by_hyp:
+            for vc in vm.vcpus:
+                level = att.kind.level(vc)
+                level.vmcs.write(level.f_enable, 0)
         self._attachment = None
 
 
@@ -677,3 +653,54 @@ class OohLib:
             self.costs.params.ioctl_deact_pml_us, World.TRACKER, EV_IOCTL_DEACT_PML
         )
         attachment.detach()
+
+
+class OohTracker(DirtyPageTracker):
+    """A tracker over the OoH Lib: start attaches, collect fetches, stop
+    detaches.  Its registered subclasses, ``SpmlTracker`` and
+    ``EpmlTracker``, differ only in the technique (the attachment kind)."""
+
+    #: SPML-only option (``SpmlTracker`` takes it as an argument).
+    reverse_map_cache = False
+
+    def __init__(
+        self,
+        kernel: GuestKernel,
+        process: Process,
+        ooh_lib: OohLib | None = None,
+        resync_on_loss: bool = False,
+    ) -> None:
+        super().__init__(kernel, process)
+        self._lib = ooh_lib if ooh_lib is not None else OohLib(OohModule.shared(kernel))
+        self._att: OohAttachment | None = None
+        self.resync_on_loss = resync_on_loss
+
+    def _do_start(self) -> None:
+        self._att = self._lib.attach(
+            self.process,
+            OohKind(self.technique.value),
+            reverse_map_cache=self.reverse_map_cache,
+            resync_on_loss=self.resync_on_loss,
+        )
+
+    def _do_collect(self) -> np.ndarray:
+        assert self._att is not None
+        out = self._lib.fetch(self._att)
+        if otr.ACTIVE is not None:
+            otr.ACTIVE.emit(
+                EventKind.COLLECT_STATS,
+                technique=self.technique.value,
+                **self._att.last_stats.event_fields(),
+            )
+        return out
+
+    def _do_stop(self) -> None:
+        assert self._att is not None
+        self._lib.detach(self._att)
+        self._att = None
+
+    @property
+    def last_stats(self) -> CollectStats:
+        """Collection diagnostics (entries, drops; SPML: unresolved GPAs)."""
+        assert self._att is not None
+        return self._att.last_stats

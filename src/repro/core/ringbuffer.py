@@ -30,7 +30,10 @@ from repro.faults.plan import FaultSite
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
-__all__ = ["RingBuffer"]
+__all__ = ["DEFAULT_RING_CAPACITY", "RingBuffer"]
+
+#: Default SPML/EPML ring capacity (entries).
+DEFAULT_RING_CAPACITY = 1 << 20
 
 
 class RingBuffer:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clock import World
 from repro.core.ooh import OohModule
 from repro.core.tracking import (
     DirtyPageTracker,
     Technique,
     make_tracker,
     register_technique,
+    report_all_mapped,
 )
 from repro.errors import (
     FaultInjectedError,
@@ -142,20 +142,8 @@ class FallbackTracker(DirtyPageTracker):
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.failure_threshold:
                 self._fall_forward(str(exc))
-            return self._conservative_interval()
-
-    def _conservative_interval(self) -> np.ndarray:
-        """A failed interval has no reliable log: report every mapped page.
-
-        Charged like the /proc pagemap walk the tracker would need to
-        enumerate the VMA.
-        """
-        self.kernel.clock.charge(
-            self.kernel.costs.pt_walk_user_us(self.process.space.n_pages),
-            World.TRACKER,
-            "conservative_resync",
-        )
-        return self.process.space.pt.mapped_vpns()
+            # A failed interval has no reliable log: every mapped page.
+            return report_all_mapped(self.kernel, self.process)
 
     def _fall_forward(self, reason: str) -> None:
         assert self._inner is not None

@@ -20,6 +20,7 @@ import enum
 
 import numpy as np
 
+from repro.core.clock import World
 from repro.errors import TrackingError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
@@ -32,6 +33,7 @@ __all__ = [
     "available_modes",
     "make_tracker",
     "register_technique",
+    "report_all_mapped",
 ]
 
 
@@ -115,6 +117,18 @@ class DirtyPageTracker(abc.ABC):
 
     @abc.abstractmethod
     def _do_stop(self) -> None: ...
+
+
+def report_all_mapped(kernel: GuestKernel, process: Process) -> np.ndarray:
+    """Every mapped VPN of ``process``: the conservative answer for an
+    interval whose log was lost, charged like the /proc pagemap walk that
+    enumerates the VMA."""
+    kernel.clock.charge(
+        kernel.costs.pt_walk_user_us(process.space.n_pages),
+        World.TRACKER,
+        "conservative_resync",
+    )
+    return process.space.pt.mapped_vpns()
 
 
 _REGISTRY: dict[Technique, type[DirtyPageTracker]] = {}

@@ -92,13 +92,13 @@ class CompletenessAuditor:
         # SMP: loss can surface on any vCPU, so sum across all of them.
         vcpus = self.kernel.vm.vcpus
         return {
-            "pml_hyp_dropped": sum(vc.pml.n_hyp_dropped for vc in vcpus),
-            "pml_guest_dropped": sum(vc.pml.n_guest_dropped for vc in vcpus),
+            "pml_hyp_dropped": sum(vc.pml.hyp.n_dropped for vc in vcpus),
+            "pml_guest_dropped": sum(vc.pml.guest.n_dropped for vc in vcpus),
             "pml_hyp_injected_drops": sum(
-                vc.pml.n_hyp_injected_drops for vc in vcpus
+                vc.pml.hyp.n_injected_drops for vc in vcpus
             ),
             "pml_guest_injected_drops": sum(
-                vc.pml.n_guest_injected_drops for vc in vcpus
+                vc.pml.guest.n_injected_drops for vc in vcpus
             ),
             "vmexits_dropped": sum(vc.n_dropped_vmexits for vc in vcpus),
             "self_ipis_lost": sum(vc.interrupts.n_lost for vc in vcpus),

@@ -34,7 +34,7 @@ from repro.hw import vmcs as vm
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
-__all__ = ["PmlBuffer", "PmlCircuit"]
+__all__ = ["PmlBuffer", "PmlCircuit", "PmlLevel"]
 
 DrainCallback = Callable[[np.ndarray], None]
 
@@ -75,222 +75,153 @@ class PmlBuffer:
         return out
 
 
-class PmlCircuit:
-    """The logging datapath attached to one vCPU.
+#: Each level's VMCS fields: (enable control, buffer address, index).
+_FIELDS = {
+    "hyp": (vm.F_CTRL_ENABLE_PML, vm.F_PML_ADDRESS, vm.F_PML_INDEX),
+    "guest": (
+        vm.F_CTRL_ENABLE_GUEST_PML, vm.F_GUEST_PML_ADDRESS, vm.F_GUEST_PML_INDEX
+    ),
+}
 
-    The circuit reads its enables from the vCPU's current VMCS each call,
-    so hypervisor (ordinary VMCS) and guest (shadow VMCS via vmwrite)
-    control it exactly as on real hardware.
+
+class PmlLevel:
+    """One logging level (``"hyp"`` or ``"guest"``): a buffer, its VMCS
+    fields, its full handler and its counters.
+
+    The two levels differ only in where their fields live (the guest
+    level's in the shadow VMCS once one is linked) and in ``on_full``:
+    a vmexit for the hypervisor level, a posted self-IPI for the guest's.
     """
 
     def __init__(
-        self,
-        vmcs_obj: vm.Vmcs,
-        capacity: int = PML_BUFFER_ENTRIES,
-        vcpu_id: int = 0,
+        self, name: str, vmcs_obj: vm.Vmcs, capacity: int, vcpu_id: int
     ) -> None:
-        self.vmcs = vmcs_obj
+        self.name = name  # the ``level`` field of trace events
+        self.f_enable, self.f_address, self.f_index = _FIELDS[name]
+        self._vmcs = vmcs_obj
+        self._shadowed = name == "guest"
         self.capacity = capacity
-        #: Owning vCPU (SMP: one circuit per vCPU; tags trace events).
         self.vcpu_id = vcpu_id
-        self.hyp_buffer: PmlBuffer | None = None
-        self.guest_buffer: PmlBuffer | None = None
-        #: Hypervisor's PML-full vmexit handler (drains hyp buffer).
-        self.on_hyp_full: DrainCallback | None = None
-        #: Guest's self-IPI path (drains guest buffer).
-        self.on_guest_full: DrainCallback | None = None
-        self.n_hyp_full_events = 0
-        self.n_guest_full_events = 0
-        self.n_hyp_logged = 0
-        self.n_guest_logged = 0
+        self.buffer: PmlBuffer | None = None
+        #: Full-buffer handler: receives the drained batch.
+        self.on_full: DrainCallback | None = None
+        self.n_full_events = 0
+        self.n_logged = 0
         #: Entries discarded because a full event found no drain handler
         #: (the circuit keeps logging consistently instead of trapping
-        #: mid-batch; consumers must check these counters).
-        self.n_hyp_dropped = 0
-        self.n_guest_dropped = 0
+        #: mid-batch; consumers must check this counter).
+        self.n_dropped = 0
         #: Entries lost to an injected buffer-full race (repro.faults).
-        self.n_hyp_injected_drops = 0
-        self.n_guest_injected_drops = 0
+        self.n_injected_drops = 0
 
-    # ------------------------------------------------------------------
-    # configuration (mirrors VMCS field writes)
-    # ------------------------------------------------------------------
-    def configure_hyp_buffer(self) -> None:
-        self.hyp_buffer = PmlBuffer(self.capacity)
-        self.vmcs.write(vm.F_PML_ADDRESS, 1)
-        self.vmcs.write(vm.F_PML_INDEX, self.hyp_buffer.index)
-
-    def configure_guest_buffer(self) -> None:
-        self.guest_buffer = PmlBuffer(self.capacity)
-        self.vmcs.write(vm.F_GUEST_PML_ADDRESS, 1)
-        self.vmcs.write(vm.F_GUEST_PML_INDEX, self.guest_buffer.index)
-
-    def _guest_vmcs(self) -> vm.Vmcs:
+    @property
+    def vmcs(self) -> vm.Vmcs:
         """Guest-owned fields live in the shadow VMCS when linked (EPML);
         hypervisor-owned fields always live in the ordinary VMCS."""
-        return self.vmcs.link if self.vmcs.link is not None else self.vmcs
+        v = self._vmcs
+        return v.link if self._shadowed and v.link is not None else v
 
-    def hyp_enabled(self) -> bool:
-        return bool(self.vmcs.read(vm.F_CTRL_ENABLE_PML))
+    def configure(self) -> None:
+        self.buffer = PmlBuffer(self.capacity)
+        v = self.vmcs
+        v.write(self.f_address, 1)
+        v.write(self.f_index, self.buffer.index)
 
-    def guest_enabled(self) -> bool:
-        return bool(self._guest_vmcs().read(vm.F_CTRL_ENABLE_GUEST_PML))
+    def enabled(self) -> bool:
+        return bool(self.vmcs.read(self.f_enable))
 
-    # ------------------------------------------------------------------
-    # logging
-    # ------------------------------------------------------------------
-    def log_gpas(self, gpfns: np.ndarray) -> None:
-        """Log newly-EPT-dirty GPFNs to the hypervisor-level buffer."""
-        if not self.hyp_enabled() or len(gpfns) == 0:
+    def log(self, values: np.ndarray) -> None:
+        """Log newly-dirty page numbers if this level is enabled."""
+        v = self.vmcs
+        if not v.read(self.f_enable) or len(values) == 0:
             return
-        if self.hyp_buffer is None:
-            raise PmlError("PML enabled but no PML buffer configured")
-        values = np.asarray(gpfns, dtype=np.uint64)
+        buf = self.buffer
+        if buf is None:
+            raise PmlError(f"{self.name} PML enabled but no buffer configured")
+        values = np.asarray(values, dtype=np.uint64)
         if finj.ACTIVE is not None:
             kept = finj.ACTIVE.drop_entries(FaultSite.PML_ENTRY_DROP, values)
             dropped = int(values.size - kept.size)
-            self.n_hyp_injected_drops += dropped
-            if dropped and otr.ACTIVE is not None:
-                otr.ACTIVE.emit(
-                    EventKind.PML_DROP,
-                    level="hyp",
-                    cause="injected",
-                    n=dropped,
-                    vcpu_id=self.vcpu_id,
-                )
+            self.n_injected_drops += dropped
+            self._emit_drop("injected", dropped)
             values = kept
-        self.n_hyp_logged += int(len(values))
-        self._fill(self.hyp_buffer, values, self._raise_hyp_full)
-        self.vmcs.write(vm.F_PML_INDEX, self.hyp_buffer.index)
-
-    def log_gvas(self, vpns: np.ndarray) -> None:
-        """Log newly-PTE-dirty VPNs to the guest-level buffer (EPML)."""
-        if not self.guest_enabled() or len(vpns) == 0:
-            return
-        if self.guest_buffer is None:
-            raise PmlError("guest PML enabled but no guest buffer configured")
-        values = np.asarray(vpns, dtype=np.uint64)
-        if finj.ACTIVE is not None:
-            kept = finj.ACTIVE.drop_entries(FaultSite.PML_ENTRY_DROP, values)
-            dropped = int(values.size - kept.size)
-            self.n_guest_injected_drops += dropped
-            if dropped and otr.ACTIVE is not None:
-                otr.ACTIVE.emit(
-                    EventKind.PML_DROP,
-                    level="guest",
-                    cause="injected",
-                    n=dropped,
-                    vcpu_id=self.vcpu_id,
-                )
-            values = kept
-        self.n_guest_logged += int(len(values))
-        self._fill(self.guest_buffer, values, self._raise_guest_full)
-        self._guest_vmcs().write(vm.F_GUEST_PML_INDEX, self.guest_buffer.index)
-
-    def _fill(
-        self, buf: PmlBuffer, values: np.ndarray, on_full: Callable[[], None]
-    ) -> None:
+        self.n_logged += int(len(values))
         pos = 0
         while pos < len(values):
             pos += buf.append(values[pos:])
             if buf.space == 0:
-                on_full()
+                self._full()
+        v.write(self.f_index, buf.index)
 
-    # ------------------------------------------------------------------
-    # full events
-    # ------------------------------------------------------------------
-    def _raise_hyp_full(self) -> None:
+    def _full(self) -> None:
         # Atomic batch contract: a full event mid-batch must never abort
         # the log call (that would leave buffer/counters inconsistent for
         # the entries already consumed).  Without a handler the hardware
         # wraps silently; we drain, count the loss, and keep logging.
-        self.n_hyp_full_events += 1
-        assert self.hyp_buffer is not None
+        self.n_full_events += 1
+        assert self.buffer is not None
         if otr.ACTIVE is not None:
             otr.ACTIVE.emit(
                 EventKind.PML_FULL,
-                level="hyp",
-                occupancy=self.hyp_buffer.n_logged,
-                handled=self.on_hyp_full is not None,
+                level=self.name,
+                occupancy=self.buffer.n_logged,
+                handled=self.on_full is not None,
                 vcpu_id=self.vcpu_id,
             )
-        batch = self.hyp_buffer.drain()
-        if self.on_hyp_full is None:
-            self.n_hyp_dropped += int(len(batch))
-            if otr.ACTIVE is not None and len(batch):
-                otr.ACTIVE.emit(
-                    EventKind.PML_DROP,
-                    level="hyp",
-                    cause="no_handler",
-                    n=int(len(batch)),
-                    vcpu_id=self.vcpu_id,
-                )
+        batch = self.buffer.drain()
+        if self.on_full is None:
+            self.n_dropped += int(len(batch))
+            self._emit_drop("no_handler", int(len(batch)))
         else:
-            self.on_hyp_full(batch)
+            self.on_full(batch)
 
-    def _raise_guest_full(self) -> None:
-        self.n_guest_full_events += 1
-        assert self.guest_buffer is not None
-        if otr.ACTIVE is not None:
+    def _emit_drop(self, cause: str, n: int) -> None:
+        if n and otr.ACTIVE is not None:
             otr.ACTIVE.emit(
-                EventKind.PML_FULL,
-                level="guest",
-                occupancy=self.guest_buffer.n_logged,
-                handled=self.on_guest_full is not None,
+                EventKind.PML_DROP,
+                level=self.name,
+                cause=cause,
+                n=n,
                 vcpu_id=self.vcpu_id,
             )
-        batch = self.guest_buffer.drain()
-        if self.on_guest_full is None:
-            self.n_guest_dropped += int(len(batch))
-            if otr.ACTIVE is not None and len(batch):
-                otr.ACTIVE.emit(
-                    EventKind.PML_DROP,
-                    level="guest",
-                    cause="no_handler",
-                    n=int(len(batch)),
-                    vcpu_id=self.vcpu_id,
-                )
-        else:
-            self.on_guest_full(batch)
 
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        return {
-            "n_hyp_full_events": self.n_hyp_full_events,
-            "n_guest_full_events": self.n_guest_full_events,
-            "n_hyp_logged": self.n_hyp_logged,
-            "n_guest_logged": self.n_guest_logged,
-            "n_hyp_dropped": self.n_hyp_dropped,
-            "n_guest_dropped": self.n_guest_dropped,
-            "n_hyp_injected_drops": self.n_hyp_injected_drops,
-            "n_guest_injected_drops": self.n_guest_injected_drops,
-        }
-
-    # ------------------------------------------------------------------
-    # explicit drains (harvest paths)
-    # ------------------------------------------------------------------
-    def drain_hyp(self) -> np.ndarray:
-        if self.hyp_buffer is None:
+    def drain(self) -> np.ndarray:
+        """Explicit harvest: logged entries in logging order; resets."""
+        if self.buffer is None:
             return np.empty(0, dtype=np.uint64)
         if otr.ACTIVE is not None:
             # Residual occupancy at an explicit harvest drain: the low end
             # of the flush-occupancy distribution (full events pin the top).
             otr.ACTIVE.metrics.observe(
-                "pml.occupancy_at_flush", self.hyp_buffer.n_logged
+                "pml.occupancy_at_flush", self.buffer.n_logged
             )
-        out = self.hyp_buffer.drain()
-        self.vmcs.write(vm.F_PML_INDEX, self.hyp_buffer.index)
+        out = self.buffer.drain()
+        self.vmcs.write(self.f_index, self.buffer.index)
         return out
 
-    def drain_guest(self) -> np.ndarray:
-        if self.guest_buffer is None:
-            return np.empty(0, dtype=np.uint64)
-        if otr.ACTIVE is not None:
-            otr.ACTIVE.metrics.observe(
-                "pml.occupancy_at_flush", self.guest_buffer.n_logged
-            )
-        out = self.guest_buffer.drain()
-        self._guest_vmcs().write(vm.F_GUEST_PML_INDEX, self.guest_buffer.index)
-        return out
+
+class PmlCircuit:
+    """The logging datapath of one vCPU: the hypervisor level (original
+    PML: GPAs gated on EPT dirty bits) and the guest level (EPML: GVAs
+    gated on guest PTE dirty bits).
+
+    Each level reads its enable from the VMCS on every call, so the
+    hypervisor (ordinary VMCS) and the guest (shadow VMCS via vmwrite)
+    control it exactly as on real hardware.
+    """
+
+    def __init__(
+        self, vmcs_obj: vm.Vmcs, capacity: int = PML_BUFFER_ENTRIES, vcpu_id: int = 0
+    ) -> None:
+        self.vmcs = vmcs_obj
+        self.vcpu_id = vcpu_id  # SMP: one circuit per vCPU; tags trace events
+        self.hyp = PmlLevel("hyp", vmcs_obj, capacity, vcpu_id)
+        self.guest = PmlLevel("guest", vmcs_obj, capacity, vcpu_id)
+
+    def log_gpas(self, gpfns: np.ndarray) -> None:
+        """Log newly-EPT-dirty GPFNs to the hypervisor-level buffer."""
+        self.hyp.log(gpfns)
+
+    def log_gvas(self, vpns: np.ndarray) -> None:
+        """Log newly-PTE-dirty VPNs to the guest-level buffer (EPML)."""
+        self.guest.log(vpns)

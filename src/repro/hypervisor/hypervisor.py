@@ -26,7 +26,7 @@ from repro.core.costs import (
     EV_RB_COPY,
     CostModel,
 )
-from repro.core.ringbuffer import RingBuffer
+from repro.core.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
 from repro.errors import ConfigurationError, HypercallError
 from repro.hw import vmcs as vmcsf
 from repro.hw.cpu import ExitReason, Vcpu
@@ -36,9 +36,6 @@ from repro.hypervisor import hypercalls as hc
 from repro.hypervisor.vm import Vm
 
 __all__ = ["Hypervisor"]
-
-#: Default SPML/EPML shared ring-buffer capacity (entries).
-DEFAULT_RING_CAPACITY = 1 << 20
 
 
 class Hypervisor:
@@ -91,7 +88,7 @@ class Hypervisor:
             vc.install_exit_handler(
                 ExitReason.SPP_VIOLATION, self._on_spp_violation
             )
-            vc.pml.on_hyp_full = self._make_pml_full_trampoline(vc)
+            vc.pml.hyp.on_full = self._make_pml_full_trampoline(vc)
         self.vms[name] = vm
         return vm
 
@@ -152,8 +149,8 @@ class Hypervisor:
         """Start whole-VM dirty logging (pre-copy rounds)."""
         vm.enabled_by_hyp = True
         for vc in vm.vcpus:
-            if vc.pml.hyp_buffer is None:
-                vc.pml.configure_hyp_buffer()
+            if vc.pml.hyp.buffer is None:
+                vc.pml.hyp.configure()
             vc.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 1)
 
     def disable_vm_dirty_logging(self, vm: Vm) -> None:
@@ -171,7 +168,7 @@ class Hypervisor:
         order, so harvests are deterministic for a given write history.
         """
         for vc in vm.vcpus:
-            residual = vc.pml.drain_hyp()
+            residual = vc.pml.hyp.drain()
             self._deliver_gpas(vm, residual, source=vc.vcpu_id)
         dirty = unique_pages(vm.drain_hyp_dirty_log(), vm.ept.n_guest_frames)
         if dirty.size:
@@ -218,8 +215,8 @@ class Hypervisor:
         if vm.enabled_by_guest:
             raise HypercallError("SPML already initialised for this VM")
         for vc in vm.vcpus:
-            if vc.pml.hyp_buffer is None:
-                vc.pml.configure_hyp_buffer()
+            if vc.pml.hyp.buffer is None:
+                vc.pml.hyp.configure()
         vm.spml_ring = RingBuffer(
             int(ring_capacity) if ring_capacity else self.ring_capacity
         )
@@ -257,7 +254,7 @@ class Hypervisor:
         vm = self._vm_of(vcpu)
         if not vm.enabled_by_guest:
             raise HypercallError("disable_logging without SPML init")
-        entries = vcpu.pml.drain_hyp()
+        entries = vcpu.pml.hyp.drain()
         self._deliver_gpas(vm, entries, source=vcpu.vcpu_id)
         if not vm.enabled_by_hyp:
             vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 0)

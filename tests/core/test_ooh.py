@@ -107,7 +107,7 @@ def test_epml_buffer_full_raises_self_ipi(stack, ooh):
     # More writes than the 512-entry guest PML buffer.
     stack.kernel.access(proc, np.arange(1200), True)
     assert stack.clock.event_count(EV_SELF_IPI) >= 2
-    assert stack.vm.vcpu.pml.n_guest_full_events >= 2
+    assert stack.vm.vcpu.pml.guest.n_full_events >= 2
     vpns = ooh.fetch(att)
     assert vpns.size == 1200  # nothing lost
     assert att.last_stats.dropped == 0

@@ -159,3 +159,16 @@ def test_proc_stop_restores_writability(stack):
         tracker.collect()  # leaves pages write-protected (re-armed)
     r = stack.kernel.access(proc, [5], True)
     assert r.n_wp_faults == 0  # no stray tracking faults after stop
+
+
+def test_reverse_map_cache_is_spml_only(stack):
+    """SPML takes the reverse-map cache; EPML, which logs GVAs and never
+    reverse-maps, rejects the argument instead of ignoring it."""
+    proc = spawn(stack)
+    tracker = make_tracker("spml", stack.kernel, proc, reverse_map_cache=True)
+    with tracker:
+        stack.kernel.access(proc, [4, 9], True)
+        assert set(int(v) for v in tracker.collect()) == {4, 9}
+        assert tracker._att._rmap_cache is not None
+    with pytest.raises(TypeError):
+        make_tracker("epml", stack.kernel, proc, reverse_map_cache=True)

@@ -119,13 +119,13 @@ def test_flush_delayed_explicitly():
 def test_pml_entry_drop_counted_per_buffer():
     vmcs = vm.Vmcs()
     circuit = PmlCircuit(vmcs, capacity=512)
-    circuit.configure_hyp_buffer()
+    circuit.hyp.configure()
     vmcs.write(vm.F_CTRL_ENABLE_PML, 1)
     with _plan(FaultSite.PML_ENTRY_DROP, max_fires=3).active():
         circuit.log_gpas(np.arange(8, dtype=np.uint64))
-    assert circuit.n_hyp_injected_drops == 3
-    assert circuit.n_hyp_logged == 5
-    assert circuit.hyp_buffer.n_logged == 5
+    assert circuit.hyp.n_injected_drops == 3
+    assert circuit.hyp.n_logged == 5
+    assert circuit.hyp.buffer.n_logged == 5
 
 
 # ----------------------------------------------------------------------

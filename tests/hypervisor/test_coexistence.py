@@ -23,7 +23,7 @@ def test_hyp_logging_survives_epml_shadow_link(stack):
     assert vm.vcpu.vmcs.link is not None
 
     stack.hv.enable_vm_dirty_logging(vm)
-    assert vm.vcpu.pml.hyp_enabled()  # ordinary-VMCS control, not shadow
+    assert vm.vcpu.pml.hyp.enabled()  # ordinary-VMCS control, not shadow
     vm.ept.clear_dirty()
     stack.kernel.access(proc, [1, 2, 3], True)
     dirty = stack.hv.harvest_vm_dirty(vm)
@@ -68,7 +68,7 @@ def test_spml_guest_flag_does_not_leak_into_hypervisor_log(stack):
     tracker = make_tracker(Technique.SPML, stack.kernel, proc)
     tracker.start()
     stack.kernel.access(proc, np.arange(1500), True)  # > one PML buffer
-    assert vm.vcpu.pml.n_hyp_full_events >= 1
+    assert vm.vcpu.pml.hyp.n_full_events >= 1
     assert vm.hyp_dirty_log == []  # enabled_by_hyp never set
     tracker.stop()
 

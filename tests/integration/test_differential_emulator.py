@@ -34,10 +34,10 @@ class FastHarness:
         self.proc = self.kernel.spawn("app", n_pages=N_PAGES)
         self.proc.space.add_vma(N_PAGES)
         pml = self.vm.vcpu.pml
-        pml.configure_hyp_buffer()
-        pml.configure_guest_buffer()
+        pml.hyp.configure()
+        pml.guest.configure()
         self.guest_chunks: list[np.ndarray] = []
-        pml.on_guest_full = self.guest_chunks.append
+        pml.guest.on_full = self.guest_chunks.append
         self.vm.enabled_by_hyp = True  # route hyp drains to the VM log
         self.vm.vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 1)
         self.vm.vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_GUEST_PML, 1)
@@ -49,13 +49,13 @@ class FastHarness:
     def guest_log(self) -> list[int]:
         pml = self.vm.vcpu.pml
         out = [int(v) for chunk in self.guest_chunks for v in chunk]
-        out += [int(v) for v in pml.guest_buffer.drain()]
+        out += [int(v) for v in pml.guest.buffer.drain()]
         return out
 
     def hyp_log_as_vpns(self) -> list[int]:
         pml = self.vm.vcpu.pml
         gpfns = [int(g) for chunk in self.vm.hyp_dirty_log for g in chunk]
-        gpfns += [int(g) for g in pml.drain_hyp()]
+        gpfns += [int(g) for g in pml.hyp.drain()]
         back = self.proc.space.pt.reverse_lookup(
             np.asarray(gpfns, dtype=np.int64)
         )
@@ -112,8 +112,8 @@ def test_differential_logs_and_dirty_bits(stream):
 def test_differential_full_event_counts(stream):
     fast, ref = run_both(stream)
     pml = fast.vm.vcpu.pml
-    assert pml.n_guest_full_events == ref.guest_buffer.full_events
-    assert pml.n_hyp_full_events == ref.hyp_buffer.full_events
+    assert pml.guest.n_full_events == ref.guest_buffer.full_events
+    assert pml.hyp.n_full_events == ref.hyp_buffer.full_events
 
 
 def test_differential_batched_vs_scalar_equivalence():

@@ -41,10 +41,10 @@ class Harness:
         self.proc = self.kernel.spawn("app", n_pages=N_PAGES)
         self.proc.space.add_vma(N_PAGES)
         pml = self.vm.vcpu.pml
-        pml.configure_hyp_buffer()
-        pml.configure_guest_buffer()
+        pml.hyp.configure()
+        pml.guest.configure()
         self.guest_chunks: list[np.ndarray] = []
-        pml.on_guest_full = self.guest_chunks.append
+        pml.guest.on_full = self.guest_chunks.append
         self.vm.enabled_by_hyp = True
         self.vm.vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 1)
         self.vm.vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_GUEST_PML, 1)
@@ -62,13 +62,13 @@ class Harness:
     def guest_log(self) -> list[int]:
         pml = self.vm.vcpu.pml
         out = [int(v) for chunk in self.guest_chunks for v in chunk]
-        out += [int(v) for v in pml.guest_buffer.drain()]
+        out += [int(v) for v in pml.guest.buffer.drain()]
         return out
 
     def hyp_log(self) -> list[int]:
         pml = self.vm.vcpu.pml
         gpfns = [int(g) for chunk in self.vm.hyp_dirty_log for g in chunk]
-        gpfns += [int(g) for g in pml.drain_hyp()]
+        gpfns += [int(g) for g in pml.hyp.drain()]
         return gpfns
 
     def pte_dirty(self) -> set:
@@ -80,8 +80,8 @@ class Harness:
             self.results,
             self.guest_log(),
             self.hyp_log(),
-            pml.n_guest_full_events,
-            pml.n_hyp_full_events,
+            pml.guest.n_full_events,
+            pml.hyp.n_full_events,
             self.proc.space.pt.flags.tolist(),
             self.proc.space.pt.gpfn.tolist(),
             self.vm.ept.flags.tolist(),

@@ -25,7 +25,6 @@ EVENTLESS_SITES = sorted([
     ("repro/fleet/orchestrator.py", "fleet.host.{}.migrations_out"),
     ("repro/fleet/postcopy.py", "postcopy.pushed_pages"),
     ("repro/hw/pml.py", "pml.occupancy_at_flush"),
-    ("repro/hw/pml.py", "pml.occupancy_at_flush"),
     ("repro/net/transport.py", "net.flows_opened"),
     ("repro/net/transport.py", "net.link.{}.flows"),
     ("repro/retry.py", "retry.exhausted"),

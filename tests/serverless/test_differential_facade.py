@@ -77,12 +77,12 @@ def _run(mode: str, facade: bool, fast_path: bool = True, chaos: bool = False):
         collects,
         stack.clock.now_us,
         dict(stack.clock.snapshot().event_count),
-        pml.n_hyp_full_events,
-        pml.n_guest_full_events,
-        pml.n_hyp_dropped,
-        pml.n_guest_dropped,
-        pml.n_hyp_injected_drops,
-        pml.n_guest_injected_drops,
+        pml.hyp.n_full_events,
+        pml.guest.n_full_events,
+        pml.hyp.n_dropped,
+        pml.guest.n_dropped,
+        pml.hyp.n_injected_drops,
+        pml.guest.n_injected_drops,
         proc.space.pt.flags.tolist(),
         stack.vm.ept.flags.tolist(),
         mmu.host_mem._content.tolist(),

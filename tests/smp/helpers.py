@@ -25,8 +25,8 @@ def full_state(vm, clock, proc, collected=()) -> tuple:
         vm.mmu.host_mem._content.tolist(),
         clock.now_us,
         dict(snap.event_count),
-        [vc.pml.n_hyp_full_events for vc in vm.vcpus],
-        [vc.pml.n_guest_full_events for vc in vm.vcpus],
+        [vc.pml.hyp.n_full_events for vc in vm.vcpus],
+        [vc.pml.guest.n_full_events for vc in vm.vcpus],
         [vc.n_vmexits for vc in vm.vcpus],
         [t.n_flushes for t in proc.space.tlbs],
         [t.n_invalidations for t in proc.space.tlbs],

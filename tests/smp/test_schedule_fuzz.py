@@ -83,7 +83,7 @@ def _run(technique: str, n_pages: int, n_vcpus: int, schedule) -> dict:
         "vcpus_seen": vcpus_seen,
         "clock_us": stack.clock.now_us,
         "event_count": dict(stack.clock.snapshot().event_count),
-        "pml_fulls": [vc.pml.n_hyp_full_events for vc in stack.vm.vcpus],
+        "pml_fulls": [vc.pml.hyp.n_full_events for vc in stack.vm.vcpus],
         "n_migrations": stack.kernel.scheduler.n_migrations,
         "n_switches": stack.kernel.scheduler.n_switches,
     }

@@ -158,6 +158,17 @@ def test_ids_outside_the_id_space_rejected(heap, method):
             getattr(heap, method)(np.array([int(ids[0]), bad]))
 
 
+@pytest.mark.parametrize("method", ["write_objs", "read_objs"])
+def test_access_ids_outside_a_full_id_space_rejected(heap, method):
+    """On a heap whose id columns are full, a negative id would wrap to a
+    live object and a large one would overrun the columns."""
+    heap.alloc(1024, 64)
+    assert heap._n_ids == heap.alive.size
+    for bad in (-1, -5, heap._n_ids, 10**7):
+        with pytest.raises(GcError, match="out of range"):
+            getattr(heap, method)([bad])
+
+
 def test_compact_edges_drops_dead(heap):
     ids = heap.alloc(3, 256)
     heap.set_refs([ids[0], ids[1]], [ids[1], ids[2]])
