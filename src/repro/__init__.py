@@ -37,7 +37,7 @@ from repro.guest.kernel import GuestKernel
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.migration import LiveMigration, MigrationReport
 from repro.trackers.boehm import BoehmGc, GcHeap, GcParams
-from repro.trackers.criu import Criu, CriuSession, iterative_predump, restore
+from repro.trackers.criu import Criu, CriuSession, restore
 from repro.workloads import (
     ArrayParser,
     FlatContext,
@@ -76,7 +76,6 @@ __all__ = [
     # trackers
     "Criu",
     "CriuSession",
-    "iterative_predump",
     "restore",
     "BoehmGc",
     "GcHeap",

@@ -131,7 +131,7 @@ class OohAttachment:
         #: first cycle", §VI-E footnote).
         self._rmap_cache: np.ndarray | None = (
             np.full(module.kernel.vm.mem_pages, -1, dtype=np.int64)
-            if (reverse_map_cache and kind is OohKind.SPML)
+            if reverse_map_cache
             else None
         )
 
@@ -238,6 +238,9 @@ class OohModule:
             raise TrackingError("OoH module already tracking a process")
         if process.pid not in self.kernel.processes:
             raise TrackingError(f"unknown pid {process.pid}")
+        if reverse_map_cache and kind is not OohKind.SPML:
+            # EPML logs GVAs: there is no reverse mapping to cache.
+            raise TrackingError("reverse_map_cache applies to SPML only")
         if kind is OohKind.SPML:
             att = self._attach_spml(process, reverse_map_cache)
         else:
@@ -599,20 +602,17 @@ class OohModule:
             att._hooks = None  # type: ignore[attr-defined]
         self._pending_guest_entries.clear()
         vm = self.kernel.vm
+        # Object-level VMCS writes (no vmwrite cost/mode checks): the
+        # "crashed" module cannot run the normal teardown path.
         if att.kind is OohKind.SPML:
             vm.enabled_by_guest = False
             vm.spml_ring = None
+            vm.hyp_pml_off(by_guest=True)
         else:
             for vc in vm.vcpus:
                 vc.pml.guest.on_full = None
+                vc.pml.guest.vmcs.write(vc.pml.guest.f_enable, 0)
             self._free_guest_buffers()
-        # Object-level VMCS writes (no vmwrite cost/mode checks): the
-        # "crashed" module cannot run the normal teardown path.  The
-        # hypervisor level stays on while its own dirty logging needs it.
-        if att.kind is OohKind.EPML or not vm.enabled_by_hyp:
-            for vc in vm.vcpus:
-                level = att.kind.level(vc)
-                level.vmcs.write(level.f_enable, 0)
         self._attachment = None
 
 

@@ -148,18 +148,15 @@ class Hypervisor:
     def enable_vm_dirty_logging(self, vm: Vm) -> None:
         """Start whole-VM dirty logging (pre-copy rounds)."""
         vm.enabled_by_hyp = True
+        vm.configure_hyp_pml()
         for vc in vm.vcpus:
-            if vc.pml.hyp.buffer is None:
-                vc.pml.hyp.configure()
             vc.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 1)
 
     def disable_vm_dirty_logging(self, vm: Vm) -> None:
         """Stop the hypervisor's use; PML stays on if the guest needs it
         (coordination rule, paper §IV-C item 3)."""
         vm.enabled_by_hyp = False
-        if not vm.enabled_by_guest:
-            for vc in vm.vcpus:
-                vc.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 0)
+        vm.hyp_pml_off(by_guest=False)
 
     def harvest_vm_dirty(self, vm: Vm) -> np.ndarray:
         """Drain residual PML buffers + accumulated log; re-arm dirty bits.
@@ -214,9 +211,7 @@ class Hypervisor:
         vm = self._vm_of(vcpu)
         if vm.enabled_by_guest:
             raise HypercallError("SPML already initialised for this VM")
-        for vc in vm.vcpus:
-            if vc.pml.hyp.buffer is None:
-                vc.pml.hyp.configure()
+        vm.configure_hyp_pml()
         vm.spml_ring = RingBuffer(
             int(ring_capacity) if ring_capacity else self.ring_capacity
         )
@@ -231,9 +226,7 @@ class Hypervisor:
     def _hc_deact_pml(self, vcpu: Vcpu) -> None:
         vm = self._vm_of(vcpu)
         vm.enabled_by_guest = False
-        if not vm.enabled_by_hyp:
-            for vc in vm.vcpus:
-                vc.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 0)
+        vm.hyp_pml_off(by_guest=True)
         vm.spml_ring = None
 
     def _hc_enable_logging(self, vcpu: Vcpu) -> None:
@@ -256,8 +249,7 @@ class Hypervisor:
             raise HypercallError("disable_logging without SPML init")
         entries = vcpu.pml.hyp.drain()
         self._deliver_gpas(vm, entries, source=vcpu.vcpu_id)
-        if not vm.enabled_by_hyp:
-            vcpu.vmcs.write(vmcsf.F_CTRL_ENABLE_PML, 0)
+        vm.hyp_pml_off(by_guest=True, vcpus=[vcpu])
 
     # -- EPML -----------------------------------------------------------
     def _hc_init_pml_shadow(self, vcpu: Vcpu) -> None:

@@ -95,6 +95,22 @@ class Vm:
         """Helper: memory size in MiB to pages."""
         return int(round(mem_mb * PAGES_PER_MB))
 
+    # Hypervisor-level PML has two users (paper §IV-C item 3): the guest's
+    # SPML (``enabled_by_guest``) and the hypervisor's dirty logging.
+    def configure_hyp_pml(self) -> None:
+        """Give every vCPU a hypervisor-level PML buffer if it has none."""
+        for vc in self.vcpus:
+            if vc.pml.hyp.buffer is None:
+                vc.pml.hyp.configure()
+
+    def hyp_pml_off(self, by_guest: bool, vcpus: list[Vcpu] | None = None) -> None:
+        """One user stops logging on ``vcpus`` (default: all): PML is
+        turned off there unless the other user still needs it."""
+        if self.enabled_by_hyp if by_guest else self.enabled_by_guest:
+            return
+        for vc in self.vcpus if vcpus is None else vcpus:
+            vc.vmcs.write(vc.pml.hyp.f_enable, 0)
+
     def drain_hyp_dirty_log(self) -> np.ndarray:
         """Collect and clear the hypervisor-side dirty GPA log."""
         if not self.hyp_dirty_log:

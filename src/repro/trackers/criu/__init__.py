@@ -2,7 +2,7 @@
 
 from repro.trackers.criu.checkpoint import Criu, CriuPhaseTimes, CriuReport, CriuSession
 from repro.trackers.criu.images import CheckpointImage, MemoryImage, VmaRecord
-from repro.trackers.criu.predump import PredumpReport, iterative_predump
+from repro.trackers.criu.lazy import LazyRestoredProcess, LazyRestoreStats, lazy_restore
 from repro.trackers.criu.restore import restore
 
 __all__ = [
@@ -13,11 +13,8 @@ __all__ = [
     "CheckpointImage",
     "MemoryImage",
     "VmaRecord",
-    "PredumpReport",
-    "iterative_predump",
     "restore",
+    "LazyRestoredProcess",
+    "LazyRestoreStats",
+    "lazy_restore",
 ]
-
-from repro.trackers.criu.lazy import LazyRestoredProcess, LazyRestoreStats, lazy_restore
-
-__all__ += ["LazyRestoredProcess", "LazyRestoreStats", "lazy_restore"]

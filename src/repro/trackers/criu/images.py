@@ -79,15 +79,13 @@ class CheckpointImage:
 
     def flatten(self) -> MemoryImage:
         """Latest version of every captured page (restore view)."""
-        latest: dict[int, int] = {}
-        toks: dict[int, np.uint64] = {}
-        for img in self.memory:
-            for v, t in zip(img.vpns, img.tokens):
-                latest[int(v)] = 1
-                toks[int(v)] = t
-        vpns = np.array(sorted(latest), dtype=np.int64)
-        tokens = np.array([toks[int(v)] for v in vpns], dtype=np.uint64)
-        return MemoryImage(vpns, tokens)
+        if not self.memory:
+            return MemoryImage(np.empty(0), np.empty(0))
+        # Newest first: a page's first occurrence is its latest version.
+        vpns = np.concatenate([img.vpns for img in self.memory])[::-1]
+        tokens = np.concatenate([img.tokens for img in self.memory])[::-1]
+        vpns, first = np.unique(vpns, return_index=True)
+        return MemoryImage(vpns, tokens[first])
 
     @property
     def total_pages_dumped(self) -> int:

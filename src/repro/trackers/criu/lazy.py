@@ -3,9 +3,10 @@
 The flip side of dirty tracking: instead of copying every image page up
 front, the restored process starts immediately with an *empty* address
 space registered with a userfaultfd in ``missing`` mode; a lazy-pages
-daemon resolves each first touch by fetching that one page from the
-checkpoint image.  Pages the process never touches are never copied —
-restore latency becomes O(working set), not O(image).
+daemon (a userfaultfd miss resolver) resolves each first touch by
+fetching that one page from the checkpoint image.  Pages the process
+never touches are never copied — restore latency becomes O(working set),
+not O(image).
 
 This exercises the ufd miss path end-to-end and gives the examples a
 second realistic userfaultfd consumer beyond write-protect tracking.
@@ -19,11 +20,11 @@ import numpy as np
 
 from repro.core.clock import World
 from repro.core.costs import EV_DISK_WRITE
-from repro.errors import CheckpointError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.guest.uffd import UfdMode, UserFaultFd
 from repro.trackers.criu.images import CheckpointImage
+from repro.trackers.criu.restore import spawn_from_image
 
 __all__ = ["LazyRestoreStats", "LazyRestoredProcess", "lazy_restore"]
 
@@ -49,45 +50,6 @@ class LazyRestoredProcess:
         self.uffd.close()
 
 
-class _LazyPagesDaemon:
-    """Resolves MISSING faults from the image (a page-server stand-in)."""
-
-    def __init__(
-        self,
-        kernel: GuestKernel,
-        process: Process,
-        page_tokens: dict[int, int],
-        stats: LazyRestoreStats,
-        fetch_us_per_page: float,
-    ) -> None:
-        self.kernel = kernel
-        self.process = process
-        self.page_tokens = page_tokens
-        self.stats = stats
-        self.fetch_us_per_page = fetch_us_per_page
-
-    def on_dirty(self, vpns: np.ndarray) -> None:
-        """Install image contents for freshly-resolved pages."""
-        have = np.array(
-            [v for v in vpns if int(v) in self.page_tokens], dtype=np.int64
-        )
-        if have.size == 0:
-            return
-        tokens = np.array(
-            [self.page_tokens[int(v)] for v in have], dtype=np.uint64
-        )
-        self.kernel.vm.mmu.write_page_contents(
-            self.process.space.pt, have, tokens
-        )
-        self.stats.pages_fetched += int(have.size)
-        self.kernel.clock.charge(
-            float(have.size) * self.fetch_us_per_page,
-            World.TRACKER,
-            EV_DISK_WRITE,
-            int(have.size),
-        )
-
-
 def lazy_restore(
     kernel: GuestKernel,
     image: CheckpointImage,
@@ -98,34 +60,33 @@ def lazy_restore(
     The process's pages materialise on first touch; consult ``stats`` for
     how much of the image was actually fetched.
     """
-    if not image.memory:
-        raise CheckpointError("image has no memory rounds")
-    per_page = (
-        fetch_us_per_page
-        if fetch_us_per_page is not None
-        else kernel.costs.params.disk_write_us_per_page
-    )
-    proc = kernel.spawn(f"{image.name}:lazy", n_pages=image.space_pages)
-    for vma in image.vmas:
-        new = proc.space.add_vma(vma.n_pages, vma.name)
-        if new.start_vpn != vma.start_vpn:
-            raise CheckpointError("VMA layout mismatch on lazy restore")
+    if fetch_us_per_page is None:
+        fetch_us_per_page = kernel.costs.params.disk_write_us_per_page
+    proc = spawn_from_image(kernel, image, "lazy")
     flat = image.flatten()
-    page_tokens = {int(v): int(t) for v, t in zip(flat.vpns, flat.tokens)}
+    # The page server's view of the image, indexed by VPN.
+    in_image = np.zeros(image.space_pages, dtype=bool)
+    in_image[flat.vpns] = True
+    tokens = np.zeros(image.space_pages, dtype=np.uint64)
+    tokens[flat.vpns] = flat.tokens
 
-    stats = LazyRestoreStats(image_pages=len(page_tokens))
+    stats = LazyRestoreStats(image_pages=flat.n_pages)
     uffd = kernel.create_uffd(proc)
     for vma in proc.space.vmas:
         uffd.register(vma, UfdMode.MISSING)
-    daemon = _LazyPagesDaemon(kernel, proc, page_tokens, stats, per_page)
+    # The lazy-pages daemon holds only the data it uses (never the kernel
+    # or the process), so it adds no reference cycle.
+    mmu, clock, pt = kernel.vm.mmu, kernel.clock, proc.space.pt
 
-    # Hook the daemon behind the ufd: whenever the kernel resolves a miss
-    # through the uffd, the daemon overlays the image contents.
-    original_deliver = uffd.deliver_miss_faults
+    def fetch(vpns: np.ndarray, write_mask: np.ndarray) -> None:
+        """Overlay image contents on the pages of a resolved miss batch."""
+        have = vpns[in_image[vpns]]
+        if have.size == 0:
+            return
+        mmu.write_page_contents(pt, have, tokens[have])
+        n = int(have.size)
+        stats.pages_fetched += n
+        clock.charge(n * fetch_us_per_page, World.TRACKER, EV_DISK_WRITE, n)
 
-    def deliver(vpns: np.ndarray, write_mask=None) -> None:
-        original_deliver(vpns, write_mask)
-        daemon.on_dirty(np.asarray(vpns, dtype=np.int64))
-
-    uffd.deliver_miss_faults = deliver  # type: ignore[method-assign]
+    uffd.add_miss_resolver(fetch)
     return LazyRestoredProcess(process=proc, uffd=uffd, stats=stats)

@@ -7,7 +7,23 @@ from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.trackers.criu.images import CheckpointImage
 
-__all__ = ["restore"]
+__all__ = ["restore", "spawn_from_image"]
+
+
+def spawn_from_image(kernel: GuestKernel, image: CheckpointImage, tag: str) -> Process:
+    """Spawn ``<image name>:<tag>`` with the image's VMA layout and no
+    pages mapped yet; both restore modes start here."""
+    if not image.memory:
+        raise CheckpointError("image has no memory rounds")
+    proc = kernel.spawn(f"{image.name}:{tag}", n_pages=image.space_pages)
+    for vma in image.vmas:
+        new = proc.space.add_vma(vma.n_pages, vma.name)
+        if new.start_vpn != vma.start_vpn:
+            raise CheckpointError(
+                f"VMA layout mismatch restoring {proc.name}: "
+                f"{new.start_vpn} != {vma.start_vpn}"
+            )
+    return proc
 
 
 def restore(kernel: GuestKernel, image: CheckpointImage) -> Process:
@@ -16,16 +32,7 @@ def restore(kernel: GuestKernel, image: CheckpointImage) -> Process:
     Pages are demand-mapped by touching them, then their content tokens are
     written back from the flattened image (latest version of each page).
     """
-    if not image.memory:
-        raise CheckpointError("image has no memory rounds")
-    proc = kernel.spawn(f"{image.name}:restored", n_pages=image.space_pages)
-    for vma in image.vmas:
-        new = proc.space.add_vma(vma.n_pages, vma.name)
-        if new.start_vpn != vma.start_vpn:
-            raise CheckpointError(
-                f"VMA layout mismatch on restore: {new.start_vpn} != "
-                f"{vma.start_vpn}"
-            )
+    proc = spawn_from_image(kernel, image, "restored")
     flat = image.flatten()
     if flat.n_pages:
         kernel.access(proc, flat.vpns, True)  # populate mappings

@@ -144,6 +144,17 @@ def test_attach_unknown_process_rejected(stack, ooh):
         ooh.attach(proc, OohKind.SPML)
 
 
+def test_reverse_map_cache_rejected_for_epml(stack, ooh):
+    """EPML logs GVAs, so a reverse-map cache would be silently unused:
+    the bad configuration fails at attach instead."""
+    proc = spawn_tracked(stack)
+    with pytest.raises(TrackingError, match="SPML only"):
+        ooh.attach(proc, OohKind.EPML, reverse_map_cache=True)
+    att = ooh.attach(proc, OohKind.SPML, reverse_map_cache=True)
+    assert att._rmap_cache is not None
+    ooh.detach(att)
+
+
 def test_spml_only_logs_while_tracked_scheduled(stack, ooh):
     """Logging is disabled while other processes run (per-process
     granularity via the schedule hooks, challenge C2)."""

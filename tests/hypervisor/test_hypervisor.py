@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
+from repro.core.ooh import OohKind, OohModule
 from repro.errors import ConfigurationError, HypercallError
 from repro.hw import vmcs as vmcsf
 from repro.hypervisor import hypercalls as hc
@@ -86,11 +87,29 @@ def test_both_users_receive_entries(stack):
     assert len(vm.hyp_dirty_log) == 1
 
 
-def test_guest_deact_keeps_pml_if_hypervisor_uses_it(stack):
+def _deact_by_hypercall(stack):
+    stack.vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    stack.vm.vcpu.hypercall(hc.HC_OOH_DEACT_PML)
+
+
+def _deact_by_force_detach(stack):
+    """SPML torn down crash-only, without the deact hypercall."""
+    proc = stack.kernel.spawn("tracked", n_pages=8)
+    proc.space.add_vma(8)
+    module = OohModule.shared(stack.kernel)
+    module.attach(proc, OohKind.SPML)
+    module.force_detach()
+
+
+@pytest.mark.parametrize(
+    "deact", [_deact_by_hypercall, _deact_by_force_detach],
+    ids=["hypercall", "force_detach"],
+)
+def test_guest_deact_keeps_pml_if_hypervisor_uses_it(stack, deact):
     vm = stack.vm
     stack.hv.enable_vm_dirty_logging(vm)
-    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
-    vm.vcpu.hypercall(hc.HC_OOH_DEACT_PML)
+    deact(stack)
+    assert not vm.enabled_by_guest
     assert vm.vcpu.vmcs.read(vmcsf.F_CTRL_ENABLE_PML) == 1
     stack.hv.disable_vm_dirty_logging(vm)
     assert vm.vcpu.vmcs.read(vmcsf.F_CTRL_ENABLE_PML) == 0

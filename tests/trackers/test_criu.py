@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.tracking import Technique
-from repro.errors import CheckpointError
-from repro.trackers.criu import Criu, iterative_predump, restore
+from repro.errors import CheckpointError, TransientError
+from repro.retry import DEFAULT_RETRY_POLICY, EV_RETRY_BACKOFF
+from repro.trackers.criu import Criu, restore
 
 TECHS = [Technique.PROC, Technique.UFD, Technique.SPML, Technique.EPML,
          Technique.ORACLE]
@@ -122,19 +123,7 @@ def test_final_freeze_dumps_residue(stack):
     assert report.pages_dumped >= 64 + 1
 
 
-def test_iterative_predump_converges(stack):
-    proc = spawn_app(stack, n_pages=128)
-
-    def run_round():
-        stack.kernel.access(proc, np.arange(8), True)
-
-    image, report = iterative_predump(
-        stack.kernel, proc, Technique.EPML, run_round,
-        max_rounds=10, threshold_pages=16,
-    )
-    assert report.converged
-    assert report.pages_per_round[0] == 128
-    assert report.downtime_us < report.total_us
+def _assert_restores_live(stack, proc, image):
     clone = restore(stack.kernel, image)
     expected = stack.kernel.vm.mmu.read_page_contents(
         proc.space.pt, proc.space.mapped_vpns()
@@ -143,6 +132,23 @@ def test_iterative_predump_converges(stack):
         clone.space.pt, clone.space.mapped_vpns()
     )
     assert np.array_equal(got, expected)
+
+
+def test_iterative_predump_converges(stack):
+    proc = spawn_app(stack, n_pages=128)
+
+    def run_round():
+        stack.kernel.access(proc, np.arange(8), True)
+
+    image, report = Criu(stack.kernel, Technique.EPML).checkpoint(
+        proc, predump_rounds=10, run_between_rounds=run_round,
+        threshold_pages=16,
+    )
+    # Full dump, one pre-dump round of 8 <= 16 pages, then the freeze.
+    assert report.rounds == 3 < 10 + 2
+    assert [m.n_pages for m in image.memory] == [128, 8, 0]
+    assert report.phases.freeze_us < report.phases.total_us
+    _assert_restores_live(stack, proc, image)
 
 
 def test_iterative_predump_nonconvergent_still_correct(stack):
@@ -151,19 +157,87 @@ def test_iterative_predump_nonconvergent_still_correct(stack):
     def hot_round():
         stack.kernel.access(proc, np.arange(64), True)
 
-    image, report = iterative_predump(
-        stack.kernel, proc, Technique.ORACLE, hot_round,
-        max_rounds=3, threshold_pages=1,
+    image, report = Criu(stack.kernel, Technique.ORACLE).checkpoint(
+        proc, predump_rounds=2, run_between_rounds=hot_round,
+        threshold_pages=1,
     )
-    assert not report.converged
-    clone = restore(stack.kernel, image)
-    expected = stack.kernel.vm.mmu.read_page_contents(
-        proc.space.pt, proc.space.mapped_vpns()
+    # Never converged: every pre-dump round ran.
+    assert report.rounds == 2 + 2
+    assert report.phases.freeze_us < report.phases.total_us
+    _assert_restores_live(stack, proc, image)
+
+
+def test_threshold_pages_validated(stack):
+    proc = spawn_app(stack)
+    with pytest.raises(CheckpointError):
+        Criu(stack.kernel).checkpoint(proc, threshold_pages=-1)
+
+
+def _fail_collect_once(tracker, on_call):
+    """Make the ``on_call``-th collect of ``tracker`` raise a transient
+    error (the retry then runs the real collect)."""
+    real = tracker.collect
+    calls = [0]
+
+    def collect():
+        calls[0] += 1
+        if calls[0] == on_call:
+            raise TransientError("injected transient collect failure")
+        return real()
+
+    tracker.collect = collect
+
+
+@pytest.mark.parametrize("technique", TECHS)
+@pytest.mark.parametrize("on_call", [1, 2], ids=["predump", "final"])
+def test_checkpoint_retries_transient_collect(stack, monkeypatch, technique,
+                                              on_call):
+    proc = spawn_app(stack)
+    sessions = []
+    begin = Criu.begin
+
+    def flaky_begin(self, process):
+        session = begin(self, process)
+        _fail_collect_once(session.tracker, on_call)
+        sessions.append(session)
+        return session
+
+    monkeypatch.setattr(Criu, "begin", flaky_begin)
+
+    def mutate():
+        stack.kernel.access(proc, [1, 2, 3], True)
+
+    image, report = Criu(stack.kernel, technique).checkpoint(
+        proc, predump_rounds=1, run_between_rounds=mutate
     )
-    got = stack.kernel.vm.mmu.read_page_contents(
-        clone.space.pt, clone.space.mapped_vpns()
+    assert sessions[0].retries == 1
+    assert report.rounds == 3
+    assert stack.clock.event_count(EV_RETRY_BACKOFF) == 1
+    assert stack.clock.event_us(EV_RETRY_BACKOFF) == (
+        DEFAULT_RETRY_POLICY.backoff_us(1)
     )
-    assert np.array_equal(got, expected)
+    _assert_restores_live(stack, proc, image)
+
+
+@pytest.mark.parametrize("technique", TECHS)
+@pytest.mark.parametrize("on_call", [1, 2], ids=["full", "incremental"])
+def test_session_dump_retries_transient_collect(stack, technique, on_call):
+    proc = spawn_app(stack)
+    session = Criu(stack.kernel, technique).begin(proc)
+    # Collect 1 resets the interval after the full dump; 2 is the
+    # incremental dump's.
+    _fail_collect_once(session.tracker, on_call)
+    stack.kernel.access(proc, [4, 5], True)
+    session.dump(full=True)
+    stack.kernel.access(proc, [6], True)
+    assert session.dump().pages_dumped == 1
+    image = session.finish()
+    assert session.retries == 1
+    assert stack.clock.event_count(EV_RETRY_BACKOFF) == 1
+    assert stack.clock.event_us(EV_RETRY_BACKOFF) == (
+        DEFAULT_RETRY_POLICY.backoff_us(1)
+    )
+    _assert_restores_live(stack, proc, image)
 
 
 def test_restore_empty_image_rejected(stack):
