@@ -15,14 +15,12 @@ overcommit ratio against refault rate and latency — the frontier table.
 
 from repro.fleet.economics.balloon import BalloonDriver
 from repro.fleet.economics.placement import choose_host, pack, wss_headroom_pages
-from repro.fleet.economics.reclaim import HostEconomics, OvercommitPolicy
-from repro.fleet.economics.wss_history import WssConfig, WssHistory
+from repro.fleet.economics.reclaim import HostEconomics
+from repro.fleet.economics.wss_history import WssHistory
 
 __all__ = [
     "BalloonDriver",
     "HostEconomics",
-    "OvercommitPolicy",
-    "WssConfig",
     "WssHistory",
     "choose_host",
     "pack",

@@ -33,11 +33,9 @@ from dataclasses import dataclass, field
 from repro.config import RunConfig
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
-from repro.errors import ConfigurationError
 from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.fleet.economics.placement import pack
 from repro.fleet.host import FleetVm, Host, VmSpec
-from repro.hypervisor.wss import WssEstimator
 
 __all__ = [
     "OvercommitRunResult",
@@ -46,7 +44,8 @@ __all__ = [
     "exp_overcommit",
 ]
 
-#: The registry's sweep: hosts, offered tenants and workload seed.
+#: The sweep: hosts, offered tenants (8 under ``quick``) and the
+#: registry's workload seed.
 N_HOSTS = 2
 N_VMS = 14
 SEED = 11
@@ -122,48 +121,28 @@ def overcommit_specs(n_vms: int, seed: int, quick: bool) -> list[VmSpec]:
     return specs
 
 
-def _sample_wss(fvm: FleetVm, intervals: int) -> int:
-    """Refresh one resident's WSS history by accessed-bit sampling —
-    the same arithmetic as ``MigrationOrchestrator.estimate_wss``."""
-    est = WssEstimator(fvm.vm)
-    for _ in range(intervals):
-        s = est.sample(fvm.run_round)
-        fvm.wss.record(s.accessed_pages)
-    return fvm.wss.refresh_planning(intervals)
-
-
 def run_overcommit_scenario(
-    ratio: float,
-    n_hosts: int = N_HOSTS,
-    n_vms: int = N_VMS,
-    seed: int = SEED,
-    quick: bool = False,
-    epochs: int | None = None,
-    rounds_per_epoch: int | None = None,
+    ratio: float, seed: int = SEED, quick: bool = False
 ) -> OvercommitRunResult:
-    """Offer ``n_vms`` tenants to ``n_hosts`` hosts at one overcommit
-    ratio; run the admission-wave loop; return the frontier point."""
-    if n_hosts < 1:
-        raise ConfigurationError(f"n_hosts must be >= 1: {n_hosts}")
+    """Offer the tenant pool to the :data:`N_HOSTS` hosts at one
+    overcommit ratio; run the admission-wave loop; return the frontier
+    point."""
     clock = SimClock()
     costs = CostModel()
     host_mb = 12.0 if quick else 24.0
-    epochs = (3 if quick else 6) if epochs is None else epochs
-    rounds_per_epoch = (
-        (4 if quick else 8) if rounds_per_epoch is None else rounds_per_epoch
-    )
+    epochs = 3 if quick else 6
+    rounds_per_epoch = 4 if quick else 8
     hosts = [
         Host(f"h{i}", clock, costs, mem_mb=host_mb, overcommit_ratio=ratio)
-        for i in range(n_hosts)
+        for i in range(N_HOSTS)
     ]
-    if quick:
-        n_vms = min(n_vms, 8)
+    n_vms = 8 if quick else N_VMS
     pending = overcommit_specs(n_vms, seed, quick)
     residents: list[FleetVm] = []
 
     result = OvercommitRunResult(
         ratio=ratio,
-        n_hosts=n_hosts,
+        n_hosts=N_HOSTS,
         n_vms=n_vms,
         seed=seed,
         epochs=epochs,
@@ -180,7 +159,7 @@ def run_overcommit_scenario(
         result.admitted_by_epoch.append(len(residents))
         # Workload epoch: everyone runs; sampling rounds count as load.
         for fvm in residents:
-            _sample_wss(fvm, WSS_INTERVALS)
+            fvm.sample_wss(WSS_INTERVALS)
             for _ in range(rounds_per_epoch):
                 fvm.run_round()
         for h in hosts:

@@ -8,10 +8,11 @@ wins, which packs guests tightly and preserves the emptier hosts for the
 demand spikes the estimators have not seen yet.  Ties break on
 ``host_id`` so packing is deterministic.
 
-:func:`pack` is the batch form — first-fit-decreasing over estimated
-working sets, the classic bin-packing heuristic — used by the overcommit
-experiment's admission waves; rejected specs stay pending and retry once
-sampling has shrunk the resident estimates.
+:func:`pack` is the batch form — first-fit-decreasing over the offered
+specs' (never-sampled, so whole-workload) working sets, the classic
+bin-packing heuristic — used by the overcommit experiment's admission
+waves; rejected specs stay pending and retry once sampling has shrunk
+the resident estimates.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ def wss_headroom_pages(host: "Host") -> int:
     return host.capacity_pages - host.hot_pages - host.reserved_pages
 
 
-def choose_host(
-    hosts: list["Host"], spec: "VmSpec", wss_pages: int | None = None
-) -> "Host | None":
-    """Best-fit feasible host for ``spec`` (``None`` when nobody admits)."""
-    wss = spec.workload_pages if wss_pages is None else int(wss_pages)
+def choose_host(hosts: list["Host"], spec: "VmSpec") -> "Host | None":
+    """Best-fit feasible host for a never-sampled ``spec``, whose working
+    set is assumed to be its whole workload (``None`` when nobody
+    admits)."""
+    wss = spec.workload_pages
     feasible = [h for h in hosts if h.admit(spec, wss)]
     if not feasible:
         return None
@@ -54,24 +55,17 @@ def choose_host(
 
 
 def pack(
-    hosts: list["Host"],
-    specs: list["VmSpec"],
-    wss_of: dict[str, int] | None = None,
+    hosts: list["Host"], specs: list["VmSpec"]
 ) -> tuple[list["FleetVm"], list["VmSpec"]]:
     """First-fit-decreasing admission wave: place what fits, return
     ``(placed fleet VMs, rejected specs)``.  Specs are visited in
-    descending estimated WSS (stable, so equal estimates keep submission
+    descending workload size (stable, so equal sizes keep submission
     order) and *placed immediately* — later candidates see the earlier
     admissions' pressure."""
-    wss_of = wss_of or {}
-
-    def est(spec: "VmSpec") -> int:
-        return int(wss_of.get(spec.name, spec.workload_pages))
-
     placed: list["FleetVm"] = []
     rejected: list["VmSpec"] = []
-    for spec in sorted(specs, key=est, reverse=True):
-        host = choose_host(hosts, spec, est(spec))
+    for spec in sorted(specs, key=lambda s: s.workload_pages, reverse=True):
+        host = choose_host(hosts, spec)
         if host is None:
             rejected.append(spec)
         else:

@@ -15,65 +15,39 @@ drivers and frees host frames on demand:
 Victim selection is deterministic: guests ranked by reclaimable excess
 (resident pages minus the hysteresis-gated WSS target), name-ordered
 tie-breaks, voluntary pass before the forced pass (which shrinks below
-target but never below ``min_resident_pages`` — the thrash regime the
+target but never below :data:`MIN_RESIDENT_PAGES` — the thrash regime the
 overcommit frontier measures).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, OutOfFramesError
 from repro.fleet.economics.balloon import BalloonDriver
-from repro.fleet.economics.wss_history import WssConfig
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.host import FleetVm, Host
 
-__all__ = ["OvercommitPolicy", "HostEconomics"]
+__all__ = ["HostEconomics"]
 
-
-@dataclass(frozen=True)
-class OvercommitPolicy:
-    """Knobs of one host's memory economics (defaults: DESIGN.md §14)."""
-
-    #: Admission headroom over the estimated WSS (fractional).
-    headroom: float = 0.10
-    #: Free-frame float the controller keeps for refault bursts.
-    slack_pages: int = 64
-    #: Forced reclaim never shrinks a guest below this many resident pages.
-    min_resident_pages: int = 16
-    #: Reclaim batch cap per victim visit (bounds per-fault latency).
-    max_batch_pages: int = 512
-    #: WSS estimator configuration shared by resident guests.
-    wss: WssConfig = field(default_factory=WssConfig)
-
-    def __post_init__(self) -> None:
-        if self.headroom < 0.0:
-            raise ConfigurationError(f"headroom must be >= 0: {self.headroom}")
-        if self.slack_pages < 0:
-            raise ConfigurationError(
-                f"slack_pages must be >= 0: {self.slack_pages}"
-            )
-        if self.min_resident_pages < 1:
-            raise ConfigurationError(
-                f"min_resident_pages must be >= 1: {self.min_resident_pages}"
-            )
-        if self.max_batch_pages < 1:
-            raise ConfigurationError(
-                f"max_batch_pages must be >= 1: {self.max_batch_pages}"
-            )
+#: Admission headroom over the estimated WSS (fractional).
+ADMISSION_HEADROOM = 0.10
+#: Free-frame float the controller keeps for refault bursts.
+SLACK_PAGES = 64
+#: Forced reclaim never shrinks a guest below this many resident pages.
+MIN_RESIDENT_PAGES = 16
+#: Reclaim batch cap per victim visit (bounds per-fault latency).
+MAX_BATCH_PAGES = 512
 
 
 class HostEconomics:
     """Reclaim controller + balloon registry for one overcommitted host."""
 
-    def __init__(self, host: "Host", policy: OvercommitPolicy | None = None) -> None:
+    def __init__(self, host: "Host") -> None:
         self.host = host
-        self.policy = policy or OvercommitPolicy()
         self.drivers: dict[str, BalloonDriver] = {}
         self.n_pressure_events = 0
 
@@ -133,7 +107,7 @@ class HostEconomics:
 
     # -- reclaim -------------------------------------------------------
     def _reclaimable(self, driver: BalloonDriver, forced: bool) -> int:
-        floor = self.policy.min_resident_pages
+        floor = MIN_RESIDENT_PAGES
         if not forced:
             floor = max(floor, driver.fvm.wss.target_pages)
         return max(0, driver.resident_pages - floor)
@@ -200,7 +174,7 @@ class HostEconomics:
             take = min(
                 deficit,
                 self._reclaimable(victim, forced),
-                self.policy.max_batch_pages,
+                MAX_BATCH_PAGES,
             )
             got = victim.inflate(take)
             if got == 0:
@@ -221,10 +195,10 @@ class HostEconomics:
 
     def prepare_admission(self, mem_pages: int) -> int:
         """Make room for a new VM's eager footprint plus the slack."""
-        return self.ensure_free(mem_pages + self.policy.slack_pages)
+        return self.ensure_free(mem_pages + SLACK_PAGES)
 
     def rebalance(self) -> int:
         """Epoch-end sweep: restore the free-frame slack."""
-        if self.host.free_pages >= self.policy.slack_pages:
+        if self.host.free_pages >= SLACK_PAGES:
             return 0
-        return self.ensure_free(self.policy.slack_pages)
+        return self.ensure_free(SLACK_PAGES)

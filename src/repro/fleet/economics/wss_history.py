@@ -1,15 +1,14 @@
 """Per-VM working-set time series: the economics layer's demand signal.
 
-PR 5's orchestrator kept a single ``last_wss_pages`` scalar per fleet VM.
-Overcommit decisions need more: admission wants a *stable* demand
-estimate that does not chase one quiet interval, and reclaim needs a
-floor it must never shrink a VM below.  :class:`WssHistory` keeps a
-bounded window of accessed-bit samples and derives three estimators:
+Overcommit decisions need more than the last sample: admission wants a
+*stable* demand estimate that does not chase one quiet interval, and
+reclaim needs a floor it must never shrink a VM below.
+:class:`WssHistory` keeps a bounded window of accessed-bit samples
+(recorded by :meth:`repro.fleet.host.FleetVm.sample_wss`) and derives
+three estimators:
 
 * **planning** — the placement value the orchestrator publishes (ceil of
-  the mean over the most recent sampling batch; arithmetic identical to
-  :meth:`~repro.hypervisor.wss.WssEstimator.estimate_pages`, so the PR 5
-  fleet path is bit-identical);
+  the mean over the most recent sampling batch);
 * **EWMA** — exponentially-smoothed demand, the "typical" working set;
 * **target** — the reclaim floor: max(EWMA, high percentile) gated by
   hysteresis, so one noisy sample cannot flap the balloon.
@@ -21,60 +20,36 @@ unsampled VM is assumed to need everything it could touch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["WssConfig", "WssHistory"]
+__all__ = ["WssHistory"]
 
-
-@dataclass(frozen=True)
-class WssConfig:
-    """Estimator knobs (defaults: DESIGN.md §14)."""
-
-    #: EWMA smoothing factor (weight of the newest sample).
-    alpha: float = 0.3
-    #: Percentile backing the reclaim target (robust peak).
-    percentile: float = 90.0
-    #: Relative change the target must see before it moves.
-    hysteresis: float = 0.15
-    #: Samples retained.
-    window: int = 32
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1]: {self.alpha}")
-        if not 0.0 <= self.percentile <= 100.0:
-            raise ConfigurationError(
-                f"percentile must be in [0, 100]: {self.percentile}"
-            )
-        if self.hysteresis < 0.0:
-            raise ConfigurationError(
-                f"hysteresis must be >= 0: {self.hysteresis}"
-            )
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1: {self.window}")
+#: EWMA smoothing factor (weight of the newest sample).
+ALPHA = 0.3
+#: Percentile backing the reclaim target (robust peak).
+PERCENTILE = 90.0
+#: Relative change the target must see before it moves.
+HYSTERESIS = 0.15
+#: Samples retained.
+WINDOW = 32
 
 
 class WssHistory:
     """Bounded accessed-bit sample series with smoothed estimators."""
 
-    def __init__(
-        self, initial_pages: int, config: WssConfig | None = None
-    ) -> None:
+    def __init__(self, initial_pages: int) -> None:
         if initial_pages < 1:
             raise ConfigurationError(
                 f"initial_pages must be >= 1: {initial_pages}"
             )
-        self.config = config or WssConfig()
         self.initial_pages = initial_pages
-        self.samples: deque[int] = deque(maxlen=self.config.window)
+        self.samples: deque[int] = deque(maxlen=WINDOW)
         self._ewma: float | None = None
         self._planning = initial_pages
         self._target = initial_pages
-        self.n_recorded = 0
 
     # -- recording -----------------------------------------------------
     def record(self, accessed_pages: int) -> None:
@@ -83,23 +58,14 @@ class WssHistory:
         if n < 0:
             raise ConfigurationError(f"accessed_pages must be >= 0: {n}")
         self.samples.append(n)
-        self.n_recorded += 1
-        a = self.config.alpha
         self._ewma = float(n) if self._ewma is None else (
-            a * n + (1.0 - a) * self._ewma
+            ALPHA * n + (1.0 - ALPHA) * self._ewma
         )
         self._update_target()
 
-    def record_estimate(self, pages: int) -> None:
-        """Publish an externally-computed planning estimate (the PR 5
-        ``last_wss_pages = ...`` assignment path, kept for compatibility);
-        it also counts as one sample so the smoothed estimators see it."""
-        self.record(int(pages))
-        self._planning = int(pages)
-
     def refresh_planning(self, intervals: int) -> int:
-        """Set planning to ceil(mean of the last ``intervals`` samples) —
-        bit-for-bit the arithmetic of ``WssEstimator.estimate_pages``."""
+        """Set planning to ceil(mean of the last ``intervals`` samples):
+        a fractional page still occupies a frame."""
         if intervals < 1:
             raise ConfigurationError(f"intervals must be >= 1: {intervals}")
         if not self.samples:
@@ -111,7 +77,7 @@ class WssHistory:
     # -- estimators ----------------------------------------------------
     @property
     def planning_pages(self) -> int:
-        """The placement/admission estimate (PR 5's ``last_wss_pages``)."""
+        """The placement/admission estimate."""
         return self._planning
 
     @property
@@ -121,16 +87,10 @@ class WssHistory:
         return int(np.ceil(self._ewma))
 
     @property
-    def peak_pages(self) -> int:
+    def percentile_pages(self) -> int:
         if not self.samples:
             return self._planning
-        return int(max(self.samples))
-
-    def percentile_pages(self, p: float | None = None) -> int:
-        if not self.samples:
-            return self._planning
-        q = self.config.percentile if p is None else p
-        return int(np.ceil(float(np.percentile(list(self.samples), q))))
+        return int(np.ceil(float(np.percentile(list(self.samples), PERCENTILE))))
 
     @property
     def target_pages(self) -> int:
@@ -139,10 +99,10 @@ class WssHistory:
         return self._target
 
     def _update_target(self) -> None:
-        candidate = max(self.ewma_pages, self.percentile_pages())
+        candidate = max(self.ewma_pages, self.percentile_pages)
         if self._target <= 0:
             self._target = max(1, candidate)
             return
         rel = abs(candidate - self._target) / float(self._target)
-        if rel > self.config.hysteresis:
+        if rel > HYSTERESIS:
             self._target = max(1, candidate)

@@ -26,11 +26,13 @@ import numpy as np
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.errors import ConfigurationError
+from repro.fleet.economics.reclaim import ADMISSION_HEADROOM, HostEconomics
 from repro.fleet.economics.wss_history import WssHistory
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.vm import Vm
+from repro.hypervisor.wss import sample_accessed_pages
 
 __all__ = ["VmSpec", "FleetVm", "Host"]
 
@@ -109,8 +111,7 @@ class FleetVm:
         #: accesses suppressed.
         self.throttle = 0.0
         #: Working-set sample history; starts pessimistic at the whole
-        #: workload.  ``last_wss_pages`` remains the scalar view the
-        #: placement path (and older tests) reads and writes.
+        #: workload.  ``wss.planning_pages`` is the placement estimate.
         self.wss = WssHistory(initial_pages=spec.workload_pages)
         self.n_rounds = 0
         self.host: Host | None = None
@@ -122,15 +123,6 @@ class FleetVm:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def last_wss_pages(self) -> int:
-        """Most recent WSS planning estimate (pages)."""
-        return self.wss.planning_pages
-
-    @last_wss_pages.setter
-    def last_wss_pages(self, pages: int) -> None:
-        self.wss.record_estimate(int(pages))
 
     def bind(
         self, host: "Host", vm: Vm, kernel: GuestKernel, proc: Process
@@ -169,6 +161,14 @@ class FleetVm:
         for hook in self._round_hooks:
             hook()
 
+    def sample_wss(self, intervals: int) -> int:
+        """Accessed-bit sampling: ``intervals`` times clear the EPT
+        accessed bits, run one round and record the count; then publish
+        the planning estimate (ceil of those samples' mean)."""
+        for _ in range(intervals):
+            self.wss.record(sample_accessed_pages(self.vm, self.run_round))
+        return self.wss.refresh_planning(intervals)
+
 
 @dataclass
 class Host:
@@ -178,7 +178,6 @@ class Host:
     clock: SimClock
     costs: CostModel
     mem_mb: float
-    pml_buffer_entries: int = 512
     #: Nominal footprint the host may promise, as a multiple of physical
     #: capacity.  1.0 (the default) disables the economics layer entirely:
     #: admission is the plain physical-frames check and no balloon is ever
@@ -191,7 +190,7 @@ class Host:
     #: decisions must see the claim).
     reserved_pages: int = field(init=False, default=0)
     #: Reclaim controller + balloon registry; present iff overcommitting.
-    economics: object | None = field(init=False, default=None)
+    economics: HostEconomics | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.overcommit_ratio < 1.0:
@@ -202,8 +201,6 @@ class Host:
             self.clock, self.costs, host_mem_mb=self.mem_mb
         )
         if self.overcommit_ratio > 1.0:
-            from repro.fleet.economics.reclaim import HostEconomics
-
             self.economics = HostEconomics(self)
 
     # -- capacity accounting ------------------------------------------
@@ -222,7 +219,7 @@ class Host:
     @property
     def hot_pages(self) -> int:
         """Sum of resident VMs' WSS estimates — the placement pressure."""
-        return sum(fvm.last_wss_pages for fvm in self.vms.values())
+        return sum(fvm.wss.planning_pages for fvm in self.vms.values())
 
     @property
     def available_pages(self) -> int:
@@ -259,15 +256,15 @@ class Host:
         Without overcommit this is exactly :meth:`fits` on the footprint.
         Overcommitting hosts admit against *estimated demand*: the
         nominal footprint must stay under the commit limit, and the
-        resident working sets plus the candidate's (with the policy
-        headroom) must fit in physical frames — the balloon can always
+        resident working sets plus the candidate's (with
+        :data:`~repro.fleet.economics.reclaim.ADMISSION_HEADROOM`) must fit
+        in physical frames — the balloon can always
         squeeze cold pages out, but hot demand has nowhere to go.
         """
         if self.economics is None:
             return self.fits(spec.mem_pages)
-        policy = self.economics.policy
         wss = spec.workload_pages if wss_pages is None else int(wss_pages)
-        need = int(np.ceil(wss * (1.0 + policy.headroom)))
+        need = int(np.ceil(wss * (1.0 + ADMISSION_HEADROOM)))
         if self.nominal_pages + spec.mem_pages > self.commit_limit_pages:
             return False
         return (
@@ -279,10 +276,7 @@ class Host:
     def create_shell(self, spec: VmSpec) -> tuple[Vm, GuestKernel, Process]:
         """VM + kernel + an *unpopulated* process with the workload VMA
         laid out — the destination half of a migration."""
-        vm = self.hypervisor.create_vm(
-            spec.name, mem_mb=spec.mem_mb,
-            pml_buffer_entries=self.pml_buffer_entries,
-        )
+        vm = self.hypervisor.create_vm(spec.name, mem_mb=spec.mem_mb)
         kernel = GuestKernel(vm)
         proc = kernel.spawn(spec.name, n_pages=spec.workload_pages)
         proc.space.add_vma(spec.workload_pages)

@@ -5,7 +5,7 @@ migration over a shared :class:`~repro.net.transport.Transport`:
 
 * **placement** — destination hosts are ranked by headroom *minus* the
   resident VMs' working-set pressure, with the candidate VM's own WSS
-  freshly sampled through :class:`~repro.hypervisor.wss.WssEstimator`
+  freshly sampled by :meth:`~repro.fleet.host.FleetVm.sample_wss`
   (accessed-bit sampling, no guest cooperation);
 * **pre-copy** — a :class:`_AdaptiveMigration` subclasses the stock
   :class:`~repro.hypervisor.migration.LiveMigration` loop, scaling guest
@@ -28,6 +28,7 @@ submitted moves and the workload seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ from repro.errors import ConfigurationError
 from repro.fleet.host import FleetVm, Host
 from repro.fleet.postcopy import PostCopyDestination, PostCopyReport
 from repro.hypervisor.migration import LiveMigration, MigrationReport
-from repro.hypervisor.wss import WssEstimator
 from repro.net.link import Link
 from repro.net.transport import Transport, TransportSender
 from repro.obs import trace as otr
@@ -47,28 +47,45 @@ from repro.obs.events import EventKind
 __all__ = ["MigrationPolicy", "FleetMigrationReport", "MigrationOrchestrator"]
 
 
+#: Auto-converge: throttle added per non-shrinking round.
+THROTTLE_STEP = 0.4
+THROTTLE_MAX = 0.8
+#: Non-shrinking rounds tolerated *at max throttle* before fallback.
+PATIENCE = 1
+#: Cap on guest quanta per pre-copy round (adaptive round sizing).
+MAX_ROUND_QUANTA = 8
+
+
 @dataclass(frozen=True)
 class MigrationPolicy:
-    """Knobs for one orchestrated migration (defaults: DESIGN.md §11)."""
+    """Knobs for one orchestrated migration (defaults: DESIGN.md §11).
 
-    max_rounds: int = 30
+    The round budget is :class:`LiveMigration`'s default and the
+    post-copy push batch is :class:`PostCopyDestination`'s default.
+    """
+
     stop_threshold_pages: int = 512
     #: Downtime budget; ``None`` disables the SLO (pre-copy runs to the
     #: stock round budget and never falls back to post-copy).
     downtime_slo_us: float | None = None
-    #: Auto-converge: throttle added per non-shrinking round.
-    throttle_step: float = 0.4
-    throttle_max: float = 0.8
-    #: Non-shrinking rounds tolerated *at max throttle* before fallback.
-    patience: int = 1
     #: Accessed-bit sampling intervals for placement WSS (0 = skip).
     wss_intervals: int = 2
-    post_copy_push_batch: int = 256
     #: Destination workload rounds interleaved with pushes before drain
     #: (0 = pure push drain, used by the differential tests).
     postcopy_dest_rounds: int = 2
-    #: Cap on guest quanta per pre-copy round (adaptive round sizing).
-    max_round_quanta: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("stop_threshold_pages", "wss_intervals",
+                     "postcopy_dest_rounds"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0: {getattr(self, name)}"
+                )
+        slo = self.downtime_slo_us
+        if slo is not None and not (math.isfinite(slo) and slo > 0):
+            raise ConfigurationError(
+                f"downtime_slo_us must be None or finite and > 0: {slo}"
+            )
 
 
 @dataclass
@@ -151,7 +168,7 @@ class _AdaptiveController:
         # transfer takes, so dirty harvests reflect real overlap.
         compute_us = max(self.fvm.spec.compute_us_per_round, 1e-9)
         self.quanta = min(
-            policy.max_round_quanta, max(1, int(n * us_pp / compute_us))
+            MAX_ROUND_QUANTA, max(1, int(n * us_pp / compute_us))
         )
         if self._prev is None:
             # First sight of the dirty rate: adapt, don't judge.
@@ -169,18 +186,16 @@ class _AdaptiveController:
                 else n <= mig.stop_threshold_pages * 2
             )
             if in_sight and self.fvm.throttle > 0.0:
-                self.fvm.throttle = max(
-                    0.0, self.fvm.throttle - policy.throttle_step
-                )
+                self.fvm.throttle = max(0.0, self.fvm.throttle - THROTTLE_STEP)
             return None
-        if self.fvm.throttle < policy.throttle_max:
+        if self.fvm.throttle < THROTTLE_MAX:
             self.fvm.throttle = min(
-                policy.throttle_max, self.fvm.throttle + policy.throttle_step
+                THROTTLE_MAX, self.fvm.throttle + THROTTLE_STEP
             )
             self.throttle_peak = max(self.throttle_peak, self.fvm.throttle)
             return None
         self.stall += 1
-        if slo is not None and eta_downtime > slo and self.stall >= policy.patience:
+        if slo is not None and eta_downtime > slo and self.stall >= PATIENCE:
             return "postcopy_slo"
         return None
 
@@ -258,22 +273,6 @@ class MigrationOrchestrator:
         self._mig_counter = 0
 
     # -- placement -----------------------------------------------------
-    def estimate_wss(self, fvm: FleetVm) -> int:
-        """Refresh ``fvm.last_wss_pages`` by accessed-bit sampling.
-
-        Each interval's sample lands in the VM's :class:`WssHistory`
-        (feeding the EWMA and the reclaim target) before the planning
-        estimate is refreshed; the published value is arithmetically
-        identical to the old ``WssEstimator.estimate_pages`` call.
-        """
-        if self.policy.wss_intervals < 1:
-            return fvm.last_wss_pages
-        est = WssEstimator(fvm.vm)
-        for _ in range(self.policy.wss_intervals):
-            s = est.sample(fvm.run_round)
-            fvm.wss.record(s.accessed_pages)
-        return fvm.wss.refresh_planning(self.policy.wss_intervals)
-
     def select_destination(
         self, fvm: FleetVm, exclude: tuple[str, ...] = ()
     ) -> Host:
@@ -287,7 +286,7 @@ class MigrationOrchestrator:
             for h in self.hosts
             if h.host_id != src_id
             and h.host_id not in exclude
-            and h.admit(fvm.spec, fvm.last_wss_pages)
+            and h.admit(fvm.spec, fvm.wss.planning_pages)
         ]
         if not feasible:
             raise ConfigurationError(
@@ -299,7 +298,7 @@ class MigrationOrchestrator:
                 EventKind.FLEET_PLACEMENT,
                 vm=fvm.name,
                 host_id=best.host_id,
-                wss_pages=int(fvm.last_wss_pages),
+                wss_pages=fvm.wss.planning_pages,
                 free_pages=int(best.free_pages),
             )
         return best
@@ -355,9 +354,10 @@ class MigrationOrchestrator:
             if driver is not None:
                 driver.deflate_all()
         if dst is None:
-            self.estimate_wss(fvm)
+            if self.policy.wss_intervals:
+                fvm.sample_wss(self.policy.wss_intervals)
             dst = self.select_destination(fvm)
-        elif not dst.admit(fvm.spec, fvm.last_wss_pages):
+        elif not dst.admit(fvm.spec, fvm.wss.planning_pages):
             raise ConfigurationError(
                 f"host {dst.host_id} cannot fit {fvm.name}"
             )
@@ -371,7 +371,7 @@ class MigrationOrchestrator:
             vm_name=fvm.name,
             src_host=src.host_id,
             dst_host=dst.host_id,
-            wss_pages=int(fvm.last_wss_pages),
+            wss_pages=fvm.wss.planning_pages,
         )
         sender = TransportSender(self.transport, flow)
         st.controller = _AdaptiveController(fvm, self.policy, sender)
@@ -379,7 +379,6 @@ class MigrationOrchestrator:
             st.controller,
             hypervisor=src.hypervisor,
             vm=st.src_vm,
-            max_rounds=self.policy.max_rounds,
             stop_threshold_pages=self.policy.stop_threshold_pages,
             sender=sender,
         )
@@ -447,7 +446,6 @@ class MigrationOrchestrator:
             missing,
             vpns,
             tokens,
-            push_batch_pages=self.policy.post_copy_push_batch,
         )
 
         def listener(process, result) -> None:

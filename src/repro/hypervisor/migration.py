@@ -45,6 +45,12 @@ __all__ = [
     "EV_MIGRATION_SEND",
 ]
 
+#: Transient harvest failures retried per harvest before the migration
+#: gives up.
+ROUND_RETRY_LIMIT = 2
+#: Consecutive non-shrinking rounds before a forced stop-and-copy.
+NO_PROGRESS_LIMIT = 3
+
 
 class PageSender(Protocol):
     """Charges the simulated cost of moving ``n_pages`` to a destination."""
@@ -105,14 +111,10 @@ class LiveMigration:
         page_send_us: float | None = None,
         max_rounds: int = 30,
         stop_threshold_pages: int = 512,
-        round_retry_limit: int = 2,
-        no_progress_limit: int = 3,
         sender: PageSender | None = None,
     ) -> None:
         if max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
-        if no_progress_limit < 1:
-            raise ConfigurationError("no_progress_limit must be >= 1")
         self.hypervisor = hypervisor
         self.vm = vm
         if sender is None:
@@ -128,8 +130,6 @@ class LiveMigration:
         self.page_send_us = page_send_us
         self.max_rounds = max_rounds
         self.stop_threshold_pages = stop_threshold_pages
-        self.round_retry_limit = round_retry_limit
-        self.no_progress_limit = no_progress_limit
 
     def _send(self, n_pages: int) -> float:
         if otr.ACTIVE is not None:
@@ -144,7 +144,7 @@ class LiveMigration:
             try:
                 return self.hypervisor.harvest_vm_dirty(self.vm)
             except Exception as exc:
-                if not is_transient(exc) or attempt >= self.round_retry_limit:
+                if not is_transient(exc) or attempt >= ROUND_RETRY_LIMIT:
                     report.aborted_reason = "harvest_failed"
                     raise
                 attempt += 1
@@ -232,7 +232,7 @@ class LiveMigration:
                 # stop burning rounds and go straight to stop-and-copy.
                 if prev_dirty is not None and int(dirty.size) >= prev_dirty:
                     stalled += 1
-                    if stalled >= self.no_progress_limit:
+                    if stalled >= NO_PROGRESS_LIMIT:
                         report.aborted_reason = "no_progress"
                         # This round's harvest cleared the dirty bits, so
                         # its pages must ride along to stop-and-copy.

@@ -42,6 +42,9 @@ from repro.obs.events import EventKind
 
 __all__ = ["Flow", "Transport", "TransportSender"]
 
+#: Backoff-and-retry attempts before a partitioned send gives up.
+PARTITION_RETRY_LIMIT = 8
+
 
 @dataclass
 class Flow:
@@ -63,8 +66,6 @@ class Transport:
 
     clock: SimClock
     costs: CostModel
-    #: Backoff-and-retry attempts before a partitioned send gives up.
-    partition_retry_limit: int = 8
     _flows: dict[str, Flow] = field(default_factory=dict, repr=False)
 
     def open_flow(self, link: Link, flow_id: str) -> Flow:
@@ -113,7 +114,7 @@ class Transport:
                     flow=flow.flow_id,
                     attempt=attempts,
                 )
-            if attempts >= self.partition_retry_limit:
+            if attempts >= PARTITION_RETRY_LIMIT:
                 raise TransientError(
                     f"link {flow.link.name} partitioned: "
                     f"{attempts} retries exhausted"

@@ -108,7 +108,8 @@ class TraceSession:
     ``detail=False`` tells seams to leave out the per-page payloads (the
     WRITE/COLLECT VPN lists, the SNAPSHOT_DIFF/MERGE offset lists),
     keeping long ``--metrics`` runs cheap; no row reads them, so counters
-    and histograms stay exact.  Tests use the default ``detail=True``.
+    and histograms stay exact.  Tests use the default ``detail=True``;
+    the ``REPRO_TRACE=1`` session uses ``detail=False``.
     """
 
     def __init__(
@@ -166,6 +167,8 @@ class _Activation:
 
 # REPRO_TRACE=1 arms a default session at interpreter start so the whole
 # test suite exercises the seams (CI matrix leg); the buffer is bounded
-# and per-test sessions shadow it via the activation stack.
+# and per-test sessions shadow it via the activation stack.  It keeps no
+# per-page payloads: a WRITE event's page list can hold 16,384 ints, so
+# a buffer of detailed events is bounded in count but not in bytes.
 if env_flag("REPRO_TRACE", False):  # pragma: no cover - exercised by the CI leg
-    ACTIVE = TraceSession(capacity=ENV_SESSION_CAPACITY)
+    ACTIVE = TraceSession(capacity=ENV_SESSION_CAPACITY, detail=False)

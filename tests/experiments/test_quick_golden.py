@@ -17,8 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.config import env_flag
-
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = ROOT / "results" / "quick.txt"
 #: Peak RSS allowed to the uncached quick sweep's process.
@@ -57,9 +55,7 @@ def test_runner_all_quick_matches_golden(tmp_path):
     # A dropped stack is freed by reference counting, so the sweep's peak
     # RSS follows the largest live stack (~90 MB), not the number built
     # (about 520 MB when every stack waited for the cyclic collector).
-    # Under REPRO_TRACE=1 the child also keeps its process-wide trace
-    # session, whose write events carry each batch's page list (~220 MB
-    # for this sweep), so the bound applies to untraced runs.
+    # The bound holds under REPRO_TRACE=1 too: that process-wide session
+    # keeps no per-page payloads.
     peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
-    if not env_flag("REPRO_TRACE", False):
-        assert peak_mb < MAX_RSS_MB, f"runner child peaked at {peak_mb:.0f} MB"
+    assert peak_mb < MAX_RSS_MB, f"runner child peaked at {peak_mb:.0f} MB"

@@ -7,7 +7,7 @@ from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.errors import ConfigurationError, OutOfFramesError
 from repro.fleet.economics.placement import choose_host, pack, wss_headroom_pages
-from repro.fleet.economics.reclaim import OvercommitPolicy
+from repro.fleet.economics.reclaim import MIN_RESIDENT_PAGES, SLACK_PAGES
 from repro.fleet.host import Host, VmSpec
 
 
@@ -34,17 +34,6 @@ def test_ratio_validation_and_gating():
         make_host(0.5)
     assert make_host(1.0).economics is None
     assert make_host(1.5).economics is not None
-
-
-def test_policy_validation():
-    with pytest.raises(ConfigurationError):
-        OvercommitPolicy(headroom=-0.1)
-    with pytest.raises(ConfigurationError):
-        OvercommitPolicy(slack_pages=-1)
-    with pytest.raises(ConfigurationError):
-        OvercommitPolicy(min_resident_pages=0)
-    with pytest.raises(ConfigurationError):
-        OvercommitPolicy(max_batch_pages=0)
 
 
 def test_stock_host_admit_is_fits():
@@ -85,7 +74,7 @@ def test_place_balloons_residents_down_boot_big_balloon_down():
     host = make_host(2.0)
     residents = [host.place(spec(f"vm{i}")) for i in range(4)]
     # The fourth placement already had to reclaim to keep the slack.
-    assert host.free_pages == host.economics.policy.slack_pages
+    assert host.free_pages == SLACK_PAGES
     for fvm in residents:
         shrink(fvm, 64)
     fifth = host.place(spec("fifth"))
@@ -93,7 +82,7 @@ def test_place_balloons_residents_down_boot_big_balloon_down():
     assert eco.reclaimed_pages >= 1024  # the new footprint came from reclaim
     assert fifth.name in eco.drivers
     assert host.nominal_pages == 5120
-    assert host.free_pages >= eco.policy.slack_pages
+    assert host.free_pages >= SLACK_PAGES
 
 
 def test_evict_detaches_driver():
@@ -128,8 +117,7 @@ def test_ensure_free_forced_pass_and_exhaustion():
     # Demanding more than forced reclaim can give raises.
     with pytest.raises(OutOfFramesError):
         host.economics.ensure_free(host.capacity_pages * 2)
-    assert host.economics.drivers["vm0"].resident_pages >= \
-        host.economics.policy.min_resident_pages
+    assert host.economics.drivers["vm0"].resident_pages >= MIN_RESIDENT_PAGES
 
 
 def test_reclaim_is_deterministic():
@@ -166,7 +154,7 @@ def test_rebalance_restores_slack():
     host.place(spec("fifth"))
     # Consume the slack via refaults, then rebalance.
     eco = host.economics
-    target = eco.policy.slack_pages
+    target = SLACK_PAGES
     assert host.free_pages >= target
     eco.rebalance()
     assert host.free_pages >= target

@@ -69,7 +69,7 @@ def test_admission_ramp_opens_with_sampling(sweep):
 
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
-        run_overcommit_scenario(1.5, n_hosts=0, quick=True)
+        run_overcommit_scenario(0.5, quick=True)
 
 
 def test_registered_in_runner():

@@ -13,7 +13,6 @@ from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.fleet.host import Host, VmSpec
 from repro.fleet.orchestrator import MigrationOrchestrator, MigrationPolicy
-from repro.hypervisor.wss import WssEstimator
 from repro.net.link import Link
 from repro.net.transport import Transport
 from tests.smp.helpers import full_state
@@ -45,13 +44,13 @@ def run_fleet(ratio_kwargs: dict) -> tuple:
     fvm = hosts[0].place(SPEC)
     for _ in range(4):
         fvm.run_round()
-    orch.estimate_wss(fvm)
+    fvm.sample_wss(2)
     report = orch.migrate(fvm)  # placement + estimate + the whole protocol
     for _ in range(2):
         fvm.run_round()
     return (
         full_state(fvm.vm, clock, fvm.proc),
-        fvm.last_wss_pages,
+        fvm.wss.planning_pages,
         report.mode,
         report.total_pages_sent,
         report.downtime_us,
@@ -63,32 +62,15 @@ def test_ratio_one_is_bit_identical_to_stock_fleet():
 
 
 def test_estimate_wss_value_unchanged_by_history_refactor():
-    """The published planning value must equal what the PR 5 code
-    computed: ``WssEstimator.estimate_pages`` over the same intervals."""
+    """The published planning value is the ceil of the mean over the
+    intervals just sampled (a fractional page still occupies a frame)."""
     clock = SimClock()
     costs = CostModel()
     host = Host("h0", clock, costs, mem_mb=16.0)
-    orch = MigrationOrchestrator(
-        [host, Host("h1", clock, costs, mem_mb=16.0)],
-        Transport(clock, costs),
-        Link("l"),
-        MigrationPolicy(wss_intervals=3),
-    )
     fvm = host.place(SPEC)
-    got = orch.estimate_wss(fvm)
+    got = fvm.sample_wss(3)
     # Recompute from the recorded samples with the estimator arithmetic.
     recent = list(fvm.wss.samples)[-3:]
+    assert len(fvm.wss.samples) == 3
     assert got == int(np.ceil(float(np.mean(recent))))
-    assert fvm.last_wss_pages == got
-
-
-def test_last_wss_pages_setter_still_works():
-    """PR 5 call sites assign the scalar directly; the property setter
-    must keep that working on top of the history."""
-    clock, costs = SimClock(), CostModel()
-    host = Host("h0", clock, costs, mem_mb=16.0)
-    fvm = host.place(SPEC)
-    est = WssEstimator(fvm.vm)
-    fvm.last_wss_pages = est.estimate_pages(fvm.run_round, 2)
-    assert fvm.last_wss_pages == fvm.wss.planning_pages
-    assert fvm.wss.n_recorded == 1
+    assert fvm.wss.planning_pages == got

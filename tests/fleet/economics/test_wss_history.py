@@ -4,20 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.economics.wss_history import WssConfig, WssHistory
+from repro.fleet.economics.wss_history import ALPHA, WINDOW, WssHistory
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        WssConfig(alpha=0.0)
-    with pytest.raises(ConfigurationError):
-        WssConfig(alpha=1.5)
-    with pytest.raises(ConfigurationError):
-        WssConfig(percentile=101.0)
-    with pytest.raises(ConfigurationError):
-        WssConfig(hysteresis=-0.1)
-    with pytest.raises(ConfigurationError):
-        WssConfig(window=0)
     with pytest.raises(ConfigurationError):
         WssHistory(initial_pages=0)
 
@@ -26,37 +16,24 @@ def test_starts_pessimistic_at_initial_pages():
     h = WssHistory(initial_pages=512)
     assert h.planning_pages == 512
     assert h.ewma_pages == 512
-    assert h.peak_pages == 512
-    assert h.percentile_pages() == 512
+    assert h.percentile_pages == 512
     assert h.target_pages == 512
-    assert h.n_recorded == 0
+    assert list(h.samples) == []
 
 
 def test_record_updates_estimators():
-    h = WssHistory(initial_pages=1000, config=WssConfig(alpha=0.5))
+    h = WssHistory(initial_pages=1000)
     h.record(100)
     assert h.ewma_pages == 100  # first sample seeds the EWMA
     h.record(200)
-    assert h.ewma_pages == 150  # 0.5*200 + 0.5*100
-    assert h.peak_pages == 200
+    assert h.ewma_pages == int(np.ceil(ALPHA * 200 + (1.0 - ALPHA) * 100))
+    assert h.percentile_pages == int(np.ceil(np.percentile([100, 200], 90)))
     with pytest.raises(ConfigurationError):
         h.record(-1)
 
 
-def test_record_estimate_keeps_pr5_assignment_semantics():
-    """``fvm.last_wss_pages = n`` must still publish n as the planning
-    value (the PR 5 path) while feeding the smoothed estimators."""
-    h = WssHistory(initial_pages=512)
-    h.record_estimate(37)
-    assert h.planning_pages == 37
-    assert list(h.samples) == [37]
-    assert h.n_recorded == 1
-
-
 def test_refresh_planning_matches_estimator_arithmetic():
-    """ceil(mean of last k samples) — bit-for-bit what
-    ``WssEstimator.estimate_pages`` computes, so the fleet placement
-    value is unchanged by the history refactor."""
+    """ceil(mean of last k samples): the fleet placement value."""
     h = WssHistory(initial_pages=512)
     samples = [3, 4, 10, 7]
     for s in samples:
@@ -74,22 +51,21 @@ def test_refresh_planning_without_samples_keeps_planning():
 
 
 def test_target_hysteresis_gates_small_moves():
-    cfg = WssConfig(alpha=1.0, percentile=100.0, hysteresis=0.15)
-    h = WssHistory(initial_pages=100, config=cfg)
+    h = WssHistory(initial_pages=100)
     h.record(100)
     assert h.target_pages == 100
-    # Window still contains the 100 sample, so the max-backed candidate
-    # stays at 100: the target must not flap on a small dip.
+    # Small dips move the candidate (max of EWMA and p90) by ~1%: the
+    # target must not flap on them.
     h.record(95)
+    h.record(90)
     assert h.target_pages == 100
-    # A large sustained rise (>15% relative) moves it.
+    # A large rise (>15% relative) moves it: p90 of the window is ~170.
     h.record(200)
-    assert h.target_pages == 200
+    assert 150 < h.target_pages <= 200
 
 
 def test_target_tracks_large_shrink():
-    cfg = WssConfig(alpha=1.0, percentile=50.0, hysteresis=0.15, window=2)
-    h = WssHistory(initial_pages=1536, config=cfg)
+    h = WssHistory(initial_pages=1536)
     h.record(90)
     h.record(96)
     # Candidate collapsed from 1536 to ~96 — far past the gate.
@@ -98,12 +74,10 @@ def test_target_tracks_large_shrink():
 
 
 def test_window_bounds_samples():
-    h = WssHistory(initial_pages=10, config=WssConfig(window=4))
-    for i in range(10):
+    h = WssHistory(initial_pages=10)
+    for i in range(WINDOW + 4):
         h.record(i)
-    assert list(h.samples) == [6, 7, 8, 9]
-    assert h.peak_pages == 9
-    assert h.n_recorded == 10
+    assert list(h.samples) == list(range(4, WINDOW + 4))
 
 
 def test_bookkeeping_is_pure():

@@ -36,12 +36,20 @@ def _fleet(n_hosts: int = 3, mem_mb: float = 8.0, policy=None):
     return hosts, orch
 
 
+def _set_wss(fvm: FleetVm, pages: int) -> None:
+    """Publish ``pages`` as the VM's planning estimate (one sample)."""
+    fvm.wss.record(pages)
+    fvm.wss.refresh_planning(1)
+
+
 def test_estimate_wss_samples_the_live_working_set():
-    hosts, orch = _fleet()
+    hosts, _ = _fleet()
     fvm = hosts[0].place(_spec("vm0", writes=40, pages=256))
-    assert fvm.last_wss_pages == 256  # pessimistic until sampled
-    wss = orch.estimate_wss(fvm)
-    assert wss == fvm.last_wss_pages
+    assert fvm.wss.planning_pages == 256  # pessimistic until sampled
+    before = fvm.n_rounds
+    wss = fvm.sample_wss(2)
+    assert wss == fvm.wss.planning_pages
+    assert fvm.n_rounds == before + 2  # one workload round per interval
     # ~40 random touches over 256 pages: far below the footprint, and
     # never more than one round's access count.
     assert 0 < wss <= 40
@@ -50,9 +58,10 @@ def test_estimate_wss_samples_the_live_working_set():
 def test_wss_intervals_zero_skips_sampling():
     hosts, orch = _fleet(policy=MigrationPolicy(wss_intervals=0))
     fvm = hosts[0].place(_spec("vm0"))
-    before = fvm.n_rounds
-    assert orch.estimate_wss(fvm) == fvm.spec.workload_pages
-    assert fvm.n_rounds == before  # the guest never ran
+    report = orch.migrate(fvm)
+    # Placement read the never-sampled, pessimistic estimate.
+    assert report.wss_pages == fvm.spec.workload_pages
+    assert list(fvm.wss.samples) == []
 
 
 def test_placement_prefers_host_with_least_wss_pressure():
@@ -63,11 +72,12 @@ def test_placement_prefers_host_with_least_wss_pressure():
     # Same committed footprint on h1 and h2, very different heat.
     hot = hosts[1].place(_spec("hot", writes=200))
     cold = hosts[2].place(_spec("cold", writes=200))
-    hot.last_wss_pages = 250
-    cold.last_wss_pages = 10
+    _set_wss(hot, 250)
+    _set_wss(cold, 10)
     assert orch.select_destination(mover) is hosts[2]
     # Flip the heat: the choice flips with it.
-    hot.last_wss_pages, cold.last_wss_pages = 10, 250
+    _set_wss(hot, 10)
+    _set_wss(cold, 250)
     assert orch.select_destination(mover) is hosts[1]
 
 
@@ -132,6 +142,24 @@ def test_orchestrator_validates_fleet():
         MigrationOrchestrator(dup, transport, link)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("wss_intervals", -1),
+    ("postcopy_dest_rounds", -2),
+    ("stop_threshold_pages", -5),
+    ("downtime_slo_us", -1.0),
+    ("downtime_slo_us", 0.0),
+    ("downtime_slo_us", float("nan")),
+    ("downtime_slo_us", float("inf")),
+])
+def test_migration_policy_rejects_bad_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        MigrationPolicy(**{field: value})
+    # The boundary values stay valid.
+    MigrationPolicy(wss_intervals=0, postcopy_dest_rounds=0,
+                    stop_threshold_pages=0, downtime_slo_us=None)
+    MigrationPolicy(downtime_slo_us=1e-3)
+
+
 def test_migrating_an_unplaced_vm_rejected():
     hosts, orch = _fleet(2)
     with pytest.raises(ConfigurationError):
@@ -183,7 +211,7 @@ def test_host_capacity_accounting():
     assert host.free_pages == cap
     fvm = host.place(_spec("vm0"))
     assert host.committed_pages == fvm.spec.mem_pages
-    assert host.hot_pages == fvm.last_wss_pages
+    assert host.hot_pages == fvm.wss.planning_pages
     host.reserved_pages = 100
     assert host.available_pages == host.free_pages - 100
     assert host.fits(host.available_pages)

@@ -13,7 +13,11 @@ import numpy as np
 from repro.core.clock import SimClock, World
 from repro.core.costs import EV_MIGRATION_SEND, EV_NET_PAGE_PULL, CostModel
 from repro.fleet.host import Host, VmSpec
-from repro.fleet.orchestrator import MigrationOrchestrator, MigrationPolicy
+from repro.fleet.orchestrator import (
+    THROTTLE_MAX,
+    MigrationOrchestrator,
+    MigrationPolicy,
+)
 from repro.fleet.postcopy import PostCopyDestination, PostCopyReport
 from repro.guest.uffd import UfdMode
 from repro.hw.pagetable import PTE_DIRTY
@@ -62,7 +66,7 @@ def test_slo_trip_switches_to_postcopy_with_source_memory_intact():
     assert report.mode == "postcopy"
     assert report.precopy.aborted_reason == "postcopy_slo"
     assert report.precopy.converged is False
-    assert report.throttle_peak == policy.throttle_max  # ramp maxed out
+    assert report.throttle_peak == THROTTLE_MAX  # ramp maxed out
     assert report.downtime_us == costs_params_downtime
     assert report.downtime_us <= policy.downtime_slo_us  # SLO honoured
     post = report.postcopy

@@ -3,35 +3,45 @@
 import numpy as np
 import pytest
 
+from repro.core.clock import SimClock
+from repro.core.costs import CostModel
 from repro.errors import ConfigurationError
-from repro.hypervisor.wss import WssEstimator
+from repro.fleet.economics.wss_history import WssHistory
+from repro.fleet.host import Host, VmSpec
+from repro.hypervisor.wss import sample_accessed_pages
+
+
+def estimate(vm, interval, intervals: int) -> int:
+    """``intervals`` samples into a fresh history, then the planning
+    estimate: the arithmetic ``FleetVm.sample_wss`` publishes."""
+    history = WssHistory(initial_pages=vm.mem_pages)
+    for _ in range(intervals):
+        history.record(sample_accessed_pages(vm, interval))
+    assert len(history.samples) == intervals
+    return history.refresh_planning(intervals)
 
 
 def test_wss_counts_touched_pages(stack):
     proc = stack.kernel.spawn("app", n_pages=256)
     proc.space.add_vma(256)
     stack.kernel.access(proc, np.arange(256), True)  # populate
-    est = WssEstimator(stack.vm)
 
     def interval():
         stack.kernel.access(proc, np.arange(64), False)  # reads count too
 
-    s = est.sample(interval)
-    assert s.accessed_pages == 64
-    assert s.accessed_mb == pytest.approx(64 * 4096 / 2**20)
+    assert sample_accessed_pages(stack.vm, interval) == 64
 
 
 def test_wss_tracks_shrinking_working_set(stack):
     proc = stack.kernel.spawn("app", n_pages=256)
     proc.space.add_vma(256)
     stack.kernel.access(proc, np.arange(256), True)
-    est = WssEstimator(stack.vm)
     sizes = iter([128, 64, 32])
 
     def interval():
         stack.kernel.access(proc, np.arange(next(sizes)), False)
 
-    counts = [est.sample(interval).accessed_pages for _ in range(3)]
+    counts = [sample_accessed_pages(stack.vm, interval) for _ in range(3)]
     assert counts == [128, 64, 32]
 
 
@@ -39,20 +49,23 @@ def test_wss_estimate_averages(stack):
     proc = stack.kernel.spawn("app", n_pages=64)
     proc.space.add_vma(64)
     stack.kernel.access(proc, np.arange(64), True)
-    est = WssEstimator(stack.vm)
-    avg = est.estimate(lambda: stack.kernel.access(proc, np.arange(16), False),
-                       intervals=4)
-    assert avg == pytest.approx(16.0)
-    assert len(est.samples) == 4
+    sizes = iter([8, 24, 16, 16])
+    avg = estimate(
+        stack.vm,
+        lambda: stack.kernel.access(proc, np.arange(next(sizes)), False),
+        intervals=4,
+    )
+    assert avg == 16
 
 
 def test_wss_estimate_pages_matches_constant_working_set(stack):
     proc = stack.kernel.spawn("app", n_pages=64)
     proc.space.add_vma(64)
     stack.kernel.access(proc, np.arange(64), True)
-    est = WssEstimator(stack.vm)
-    pages = est.estimate_pages(
-        lambda: stack.kernel.access(proc, np.arange(16), False), intervals=3
+    pages = estimate(
+        stack.vm,
+        lambda: stack.kernel.access(proc, np.arange(16), False),
+        intervals=3,
     )
     assert pages == 16
     assert isinstance(pages, int)
@@ -64,19 +77,20 @@ def test_wss_estimate_pages_rounds_up(stack):
     proc = stack.kernel.spawn("app", n_pages=64)
     proc.space.add_vma(64)
     stack.kernel.access(proc, np.arange(64), True)
-    est = WssEstimator(stack.vm)
     sizes = iter([3, 4])  # mean 3.5 -> 4 pages
 
     def interval():
         stack.kernel.access(proc, np.arange(next(sizes)), False)
 
-    assert est.estimate_pages(interval, intervals=2) == 4
+    assert estimate(stack.vm, interval, intervals=2) == 4
 
 
-def test_wss_validation(stack):
-    est = WssEstimator(stack.vm)
+def test_wss_validation():
+    host = Host("h0", SimClock(), CostModel(), mem_mb=4.0)
+    fvm = host.place(VmSpec("vm0", mem_mb=1.0, workload_pages=64,
+                            writes_per_round=8))
     with pytest.raises(ConfigurationError):
-        est.estimate(lambda: None, intervals=0)
+        fvm.sample_wss(0)
 
 
 def test_wss_zero_access_interval(stack):
@@ -85,23 +99,20 @@ def test_wss_zero_access_interval(stack):
     proc = stack.kernel.spawn("app", n_pages=64)
     proc.space.add_vma(64)
     stack.kernel.access(proc, np.arange(64), True)
-    est = WssEstimator(stack.vm)
-    s = est.sample(lambda: None)
-    assert s.accessed_pages == 0
-    assert est.estimate(lambda: None, intervals=2) == pytest.approx(0.0)
-    assert est.estimate_pages(lambda: None, intervals=1) == 0
+    assert sample_accessed_pages(stack.vm, lambda: None) == 0
+    assert estimate(stack.vm, lambda: None, intervals=2) == 0
 
 
 def test_wss_single_interval_is_that_sample(stack):
     proc = stack.kernel.spawn("app", n_pages=64)
     proc.space.add_vma(64)
     stack.kernel.access(proc, np.arange(64), True)
-    est = WssEstimator(stack.vm)
-    pages = est.estimate_pages(
-        lambda: stack.kernel.access(proc, np.arange(23), False), intervals=1
+    pages = estimate(
+        stack.vm,
+        lambda: stack.kernel.access(proc, np.arange(23), False),
+        intervals=1,
     )
     assert pages == 23
-    assert est.samples[-1].accessed_pages == 23
 
 
 def test_wss_multi_vcpu_sampling_under_rotation():
@@ -114,7 +125,6 @@ def test_wss_multi_vcpu_sampling_under_rotation():
     proc = stack.kernel.spawn("app", n_pages=256)
     proc.space.add_vma(256)
     stack.kernel.access(proc, np.arange(256), True)
-    est = WssEstimator(stack.vm)
 
     def interval():
         # Several small batches with compute between them, so the
@@ -123,8 +133,7 @@ def test_wss_multi_vcpu_sampling_under_rotation():
             stack.kernel.access(proc, np.arange(i * 16, (i + 1) * 16), True)
             stack.kernel.compute(proc, 60.0)
 
-    s = est.sample(interval)
-    assert s.accessed_pages == 128
+    assert sample_accessed_pages(stack.vm, interval) == 128
 
 
 def test_wss_estimate_stable_across_repeat_runs():
@@ -138,8 +147,8 @@ def test_wss_estimate_stable_across_repeat_runs():
         proc.space.add_vma(512)
         stack.kernel.access(proc, np.arange(512), True)
         rng = np.random.default_rng(42)
-        est = WssEstimator(stack.vm)
-        return est.estimate_pages(
+        return estimate(
+            stack.vm,
             lambda: stack.kernel.access(proc, rng.integers(0, 512, 96), True),
             intervals=3,
         )
@@ -162,10 +171,11 @@ def test_wss_sample_correct_with_warm_tlb():
     for _ in range(4):  # warm: the batch now takes the fast path
         stack.kernel.access(proc, batch, True)
     assert stack.vm.mmu.n_fast_batches > 0
-    est = WssEstimator(stack.vm)
     for _ in range(3):
-        s = est.sample(lambda: stack.kernel.access(proc, batch, True))
-        assert s.accessed_pages == 32
+        n = sample_accessed_pages(
+            stack.vm, lambda: stack.kernel.access(proc, batch, True)
+        )
+        assert n == 32
 
 
 def test_wss_does_not_break_pml_tracking(stack):
@@ -177,8 +187,7 @@ def test_wss_does_not_break_pml_tracking(stack):
     stack.kernel.access(proc, np.arange(64), True)
     tracker = make_tracker(Technique.EPML, stack.kernel, proc)
     tracker.start()
-    est = WssEstimator(stack.vm)
-    est.sample(lambda: stack.kernel.access(proc, [1, 2], True))
+    sample_accessed_pages(stack.vm, lambda: stack.kernel.access(proc, [1, 2], True))
     dirty = set(int(v) for v in tracker.collect())
     tracker.stop()
     assert dirty == {1, 2}

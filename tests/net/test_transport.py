@@ -7,7 +7,7 @@ from repro.core.costs import EV_MIGRATION_SEND, CostModel
 from repro.errors import ConfigurationError, TransientError
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.net.link import Link
-from repro.net.transport import Transport, TransportSender
+from repro.net.transport import PARTITION_RETRY_LIMIT, Transport, TransportSender
 
 
 @pytest.fixture()
@@ -90,7 +90,7 @@ def test_latency_spike_multiplies_latency_only(net):
 def test_partition_backs_off_then_raises_transient(net):
     clock, costs, transport = net
     flow = transport.open_flow(Link("l"), "f")
-    limit = transport.partition_retry_limit
+    limit = PARTITION_RETRY_LIMIT
     with FaultPlan([FaultSpec(FaultSite.NET_PARTITION, 1.0)]).active():
         with pytest.raises(TransientError):
             transport.send(flow, 10)
