@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
-from repro.errors import ConfigurationError, TrackingError
+from repro.errors import ConfigurationError, OutOfFramesError, TrackingError
 from repro.fleet.economics.balloon import BalloonDriver
 from repro.fleet.host import Host, VmSpec
 
@@ -166,6 +166,21 @@ def test_deflate_all_restores_everything_exactly():
     assert fvm.vm.guest_frames.n_free == guest_free0
     # Idempotent when empty.
     assert driver.deflate_all() == 0
+
+
+def test_deflate_all_fails_loudly_when_only_the_draining_guest_can_give():
+    """The drain's reclaim may fall back to the guest being drained (the
+    requester is the last-resort victim).  Re-ballooning it leaves the
+    image partial, so deflate_all must raise rather than return with
+    pages still swapped, which a migration would lose silently."""
+    host = make_host(ratio=4.0, mem_mb=8.0)
+    fvm = host.place(spec())
+    driver = host.economics.drivers[fvm.name]
+    driver.inflate(400)
+    # Another tenant's frames leave the host 50 short of the drain.
+    host.hypervisor.host_mem.alloc(host.free_pages - 350)
+    with pytest.raises(OutOfFramesError):
+        driver.deflate_all()
 
 
 def test_migrating_a_ballooned_vm_carries_swapped_pages():
