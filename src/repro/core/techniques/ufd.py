@@ -22,20 +22,17 @@ __all__ = ["UfdTracker"]
 class UfdTracker(DirtyPageTracker):
     technique = Technique.UFD
 
-    def __init__(self, kernel, process, track_missing: bool = True) -> None:
+    def __init__(self, kernel, process) -> None:
         super().__init__(kernel, process)
         self._uffd: UserFaultFd | None = None
-        #: Also register MISSING mode so first touches are captured as
-        #: dirty (matches ufd-based checkpoint usage).
-        self.track_missing = track_missing
 
     def _do_start(self) -> None:
         from repro.guest.process import Vma
 
         self._uffd = self.kernel.create_uffd(self.process)
-        mode = UfdMode.WRITE_PROTECT
-        if self.track_missing:
-            mode |= UfdMode.MISSING
+        # MISSING mode too, so first touches are captured as dirty
+        # (matches ufd-based checkpoint usage).
+        mode = UfdMode.WRITE_PROTECT | UfdMode.MISSING
         vmas = self.process.space.vmas
         if not vmas:
             # No VMAs yet: register the whole address-space range so

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.config import env_int
 from repro.core.clock import SimClock
-from repro.core.costs import CostModel, CostParams
+from repro.core.costs import CostModel
 from repro.core.tracking import Technique, make_tracker
 from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.guest.kernel import GuestKernel
@@ -62,7 +62,6 @@ def build_stack(
     vm_mb: float = 5 * 1024,
     host_mb: float | None = None,
     switch_interval_us: float = DEFAULT_SWITCH_INTERVAL_US,
-    cost_params: CostParams | None = None,
     pml_buffer_entries: int = 512,
     n_vcpus: int | None = None,
 ) -> SimpleNamespace:
@@ -72,7 +71,7 @@ def build_stack(
     from ``REPRO_VCPUS`` (default 1, the paper's configuration).
     """
     clock = SimClock()
-    costs = CostModel(params=cost_params) if cost_params else CostModel()
+    costs = CostModel()
     hv = Hypervisor(clock, costs, host_mem_mb=host_mb or (vm_mb + 512))
     vm = hv.create_vm(
         "vm0",
@@ -126,10 +125,9 @@ def _write_pass(stack, proc, region_vpns: np.ndarray, us_per_page: float) -> Non
 STARTUP_US = 2500.0
 
 
-def _microbench_setup(mem_mb, cost_params, pml_buffer_entries, switch_interval_us):
+def _microbench_setup(mem_mb, pml_buffer_entries, switch_interval_us):
     stack = build_stack(
         vm_mb=max(64.0, mem_mb * 1.5),
-        cost_params=cost_params,
         pml_buffer_entries=pml_buffer_entries,
         switch_interval_us=switch_interval_us,
     )
@@ -148,7 +146,6 @@ def run_microbench(
     technique: Technique | str,
     mem_mb: float,
     passes: int = 2,
-    cost_params: CostParams | None = None,
     pml_buffer_entries: int = 512,
     switch_interval_us: float = DEFAULT_SWITCH_INTERVAL_US,
 ) -> MicrobenchResult:
@@ -164,11 +161,10 @@ def run_microbench(
     technique = Technique(technique) if isinstance(technique, str) else technique
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    key = ("microbench", technique.value, mem_mb, passes, cost_params,
-           pml_buffer_entries, switch_interval_us, _default_n_vcpus())
+    key = ("microbench", technique.value, mem_mb, passes, pml_buffer_entries,
+           switch_interval_us, _default_n_vcpus())
     return EXPERIMENT_CACHE.get_or_run(key, lambda: _run_microbench_uncached(
-        technique, mem_mb, passes, cost_params, pml_buffer_entries,
-        switch_interval_us,
+        technique, mem_mb, passes, pml_buffer_entries, switch_interval_us,
     ))
 
 
@@ -176,13 +172,12 @@ def _run_microbench_uncached(
     technique: Technique,
     mem_mb: float,
     passes: int,
-    cost_params: CostParams | None,
     pml_buffer_entries: int,
     switch_interval_us: float,
 ) -> MicrobenchResult:
     # Ideal run: no tracker.
     stack, proc, vpns, us_pp = _microbench_setup(
-        mem_mb, cost_params, pml_buffer_entries, switch_interval_us
+        mem_mb, pml_buffer_entries, switch_interval_us
     )
     t0 = stack.clock.now_us
     stack.kernel.compute(proc, STARTUP_US)
@@ -194,7 +189,7 @@ def _run_microbench_uncached(
     # initialization phase (paper §III), so its window starts afterwards;
     # the tracker's own time does include initialization.
     stack, proc, vpns, us_pp = _microbench_setup(
-        mem_mb, cost_params, pml_buffer_entries, switch_interval_us
+        mem_mb, pml_buffer_entries, switch_interval_us
     )
     start = stack.clock.snapshot()
     tracker = make_tracker(technique, stack.kernel, proc)

@@ -29,8 +29,10 @@ from repro.core.calibration import TABLE_VB_MS, TABLE_VB_SIZES_MB, mb_to_pages
 from repro.core.costs import CostModel
 from repro.core.tracking import Technique
 from repro.errors import ConfigurationError
+from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.experiments.faultmatrix import exp_fault_matrix
 from repro.experiments.harness import (
+    _default_n_vcpus,
     run_boehm,
     run_criu,
     run_microbench,
@@ -516,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     given = {f.name for f in fields(RunConfig)} & set(vars(args))
     try:
         config = RunConfig(**{k: getattr(args, k) for k in given})
+        # REPRO_VCPUS and REPRO_EXPERIMENT_CACHE: a bad value is a usage error.
+        _default_n_vcpus()
+        EXPERIMENT_CACHE.enabled
     except ConfigurationError as exc:
         parser.error(str(exc))
     if args.trace_out and not args.metrics:

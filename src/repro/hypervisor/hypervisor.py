@@ -26,7 +26,7 @@ from repro.core.costs import (
     EV_RB_COPY,
     CostModel,
 )
-from repro.core.ringbuffer import DEFAULT_RING_CAPACITY, RingBuffer
+from repro.core.ringbuffer import RingBuffer
 from repro.errors import ConfigurationError, HypercallError
 from repro.hw import vmcs as vmcsf
 from repro.hw.cpu import ExitReason, Vcpu
@@ -46,12 +46,10 @@ class Hypervisor:
         clock: SimClock,
         costs: CostModel | None = None,
         host_mem_mb: float = 16 * 1024,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         self.clock = clock
         self.costs = costs if costs is not None else CostModel()
         self.host_mem = PhysicalMemory(Vm.mb(host_mem_mb))
-        self.ring_capacity = ring_capacity
         #: Live VMs by name.  Each VM owns this hypervisor (its vCPUs'
         #: exit handlers are bound to it), so the registry holds the VMs
         #: weakly: a dropped VM is freed by reference counting.
@@ -200,7 +198,7 @@ class Hypervisor:
         t.register(hc.HC_OOH_BALLOON_DEFLATE, cls._hc_balloon_deflate)
 
     # -- SPML ---------------------------------------------------------
-    def _hc_init_pml(self, vcpu: Vcpu, ring_capacity: int | None = None) -> RingBuffer:
+    def _hc_init_pml(self, vcpu: Vcpu, ring_capacity: int) -> RingBuffer:
         """SPML init: PML buffer + shared ring buffer; guest flag set.
 
         Returns the ring buffer, which in real OoH lives in guest memory
@@ -212,9 +210,7 @@ class Hypervisor:
         if vm.enabled_by_guest:
             raise HypercallError("SPML already initialised for this VM")
         vm.configure_hyp_pml()
-        vm.spml_ring = RingBuffer(
-            int(ring_capacity) if ring_capacity else self.ring_capacity
-        )
+        vm.spml_ring = RingBuffer(int(ring_capacity))
         vm.enabled_by_guest = True
         # Arm logging: PML only records dirty-bit 0 -> 1 transitions, so
         # init clears the EPT dirty bits (as Xen does between migration

@@ -63,7 +63,6 @@ def checkpoint_vm(
     vm: Vm,
     run_round: Callable[[], None] | None = None,
     predump_rounds: int = 0,
-    disk_write_us_per_page: float | None = None,
 ) -> tuple[VmImage, VmCheckpointReport]:
     """Checkpoint the whole VM using hypervisor-level PML pre-copy."""
     if predump_rounds < 0:
@@ -71,11 +70,7 @@ def checkpoint_vm(
     if predump_rounds > 0 and run_round is None:
         raise CheckpointError("pre-dump requires run_round")
     clock = hypervisor.clock
-    per_page = (
-        disk_write_us_per_page
-        if disk_write_us_per_page is not None
-        else hypervisor.costs.params.disk_write_us_per_page
-    )
+    per_page = hypervisor.costs.params.disk_write_us_per_page
     image = VmImage(vm_name=vm.name, mem_pages=vm.mem_pages)
     report = VmCheckpointReport()
     t_start = clock.now_us

@@ -178,7 +178,6 @@ def run_serverless(
     kernel: GuestKernel,
     mode: str,
     cfg: ServerlessConfig,
-    tracker_kwargs: dict | None = None,
 ) -> ServerlessRunResult:
     """Run the full schedule on ``kernel`` under tracking ``mode``."""
     gen = TrafficGenerator(cfg)
@@ -201,7 +200,6 @@ def run_serverless(
                 inv.request_id,
                 plans[inv.tenant_idx][inv.plan_idx],
                 cfg.compute_us,
-                tracker_kwargs=tracker_kwargs,
             )
             diff = instance.run(commit_seq)
             commit_seq += 1

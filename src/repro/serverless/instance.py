@@ -49,7 +49,6 @@ class FunctionInstance:
         request_id: int,
         plan: tuple[np.ndarray, np.ndarray],
         compute_us: float,
-        tracker_kwargs: dict | None = None,
     ) -> None:
         self.kernel = kernel
         self.mode = mode
@@ -60,12 +59,6 @@ class FunctionInstance:
         #: (the function's output footprint).
         self.touched_vpns, self.write_vpns = plan
         self.compute_us = compute_us
-        kwargs = dict(tracker_kwargs or {})
-        if mode in _RESYNC_MODES:
-            # Short-lived instances get exactly one collect; a lost batch
-            # would silently drop merged pages, so loss must resync.
-            kwargs.setdefault("resync_on_loss", True)
-        self.tracker_kwargs = kwargs
 
     @property
     def instance_id(self) -> str:
@@ -80,7 +73,10 @@ class FunctionInstance:
         # Read-prefault: maps every page (minor faults) without setting
         # dirty bits, so the restore image lands on present, clean pages.
         kernel.access(proc, np.arange(n_pages, dtype=np.int64), False)
-        facade = UnifiedDirtyTracker(kernel, proc, self.mode, **self.tracker_kwargs)
+        # Short-lived instances get exactly one collect; a lost batch would
+        # silently drop merged pages, so loss must resync.
+        kwargs = {"resync_on_loss": True} if self.mode in _RESYNC_MODES else {}
+        facade = UnifiedDirtyTracker(kernel, proc, self.mode, **kwargs)
         region = facade.map_regions(self.snapshot)
         facade.start()
         try:

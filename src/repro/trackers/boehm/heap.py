@@ -36,14 +36,12 @@ class GcHeap:
         kernel: GuestKernel,
         process: Process,
         heap_pages: int,
-        alloc_us_per_obj: float = 0.05,
     ) -> None:
         if heap_pages <= 0:
             raise GcError(f"heap_pages must be > 0: {heap_pages}")
         self.kernel = kernel
         self.process = process
         self.vma: Vma = process.space.add_vma(heap_pages, "gc-heap")
-        self.alloc_us_per_obj = alloc_us_per_obj
 
         cap = 1024
         self.obj_page = np.full(cap, -1, dtype=np.int64)  # absolute VPN
@@ -198,7 +196,8 @@ class GcHeap:
 
         # The allocator writes headers/contents: dirty pages.
         self.kernel.access(self.process, touched, True)
-        self.kernel.compute(self.process, n * self.alloc_us_per_obj)
+        alloc_us = n * self.kernel.costs.params.gc_alloc_us_per_obj
+        self.kernel.compute(self.process, alloc_us)
         return ids
 
     # ------------------------------------------------------------------
@@ -315,11 +314,8 @@ class GcHeap:
         for src, dst in self._runs:
             starts = np.searchsorted(src, ids, "left")
             lens = np.searchsorted(src, ids, "right") - starts
-            total = int(lens.sum())
-            if total:
-                # Gather ranges [starts[i], starts[i] + lens[i]) vectorised.
-                offsets = np.repeat(starts + lens - lens.cumsum(), lens)
-                parts.append(dst[offsets + np.arange(total)])
+            if lens.any():
+                parts.append(dst[_ranges(starts, lens)])
         return np.concatenate(parts)
 
     def pages_of(self, ids: np.ndarray) -> np.ndarray:
@@ -361,15 +357,14 @@ class GcHeap:
             raise GcError("double free of GC object")
         spans = self.obj_span[at]
         pages = self.obj_page[at]
-        total = int(spans.sum())
-        if total != ids.size:
-            # Expand [first_i, first_i + span_i) ranges of large objects.
-            pages = np.repeat(pages + spans - spans.cumsum(), spans) + np.arange(total)
+        if int(spans.sum()) != ids.size:
+            pages = _ranges(pages, spans)  # every page of each large object
         # Before the clear below: ``pages`` may be a view of obj_page.
         candidates = self._add_live(pages, -1)
         self.alive[each] = False
         self.obj_page[each] = -1
         self._free_ids.append(ids.copy())
+        self._drop_out_edges(ids)
         # Pages with no live objects: unmap + reuse.
         empty = candidates[self.page_live[candidates] == 0]
         if empty.size:
@@ -388,12 +383,34 @@ class GcHeap:
             self._free_pages.extend(empty.tolist())
         return int(ids.size)
 
+    def _drop_out_edges(self, ids: np.ndarray) -> None:
+        """Cut every edge out of ``ids`` (distinct), so a reused id starts
+        with none.  Runs are source-sorted, so the edges out of a block of
+        consecutive ids are one range of each run, found by binary search:
+        a bulk free costs a search per block, not per id or per edge."""
+        ids = ids if _ascending(ids) else np.sort(ids)
+        breaks = np.flatnonzero(ids[1:] != ids[:-1] + 1) + 1
+        first = ids[np.r_[0, breaks]]
+        last = ids[np.r_[breaks - 1, ids.size - 1]]
+        for k, (src, dst) in enumerate(self._runs):
+            starts = np.searchsorted(src, first, "left")
+            ends = np.searchsorted(src, last, "right")
+            hit = ends > starts
+            if hit.any():
+                # Keep the pieces between the cut ranges.
+                keep = list(zip(np.r_[0, ends[hit]], np.r_[starts[hit], src.size]))
+                self._runs[k] = (np.concatenate([src[i:j] for i, j in keep]),
+                                 np.concatenate([dst[i:j] for i, j in keep]))
+                self.n_edges -= int((ends - starts).sum())
+        self._settle_runs()
+
     def compact_edges(self) -> None:
-        """Drop edges whose source is dead (run at full collections)."""
+        """Drop edges to dead objects (run at full collections): a lossy
+        technique can free a young object a live old object points to."""
         if self.n_edges == 0:
             return
         src, dst = _merged(self._runs)
-        keep = self.alive[src] & self.alive[dst]
+        keep = self.alive[dst]  # every stored source is live
         self._runs = [(src[keep], dst[keep])]
         self.n_edges = int(keep.sum())
         self._settle_runs()
@@ -423,6 +440,11 @@ def _column_index(ids: np.ndarray) -> tuple[slice | np.ndarray, slice | np.ndarr
         return ids, ids
     whole = slice(lo, hi + 1)
     return whole, whole if _ascending(ids) else ids
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[i], starts[i] + lens[i])`` concatenated."""
+    return np.repeat(starts + lens - lens.cumsum(), lens) + np.arange(int(lens.sum()))
 
 
 def _merged(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -71,15 +71,11 @@ class Criu:
         self,
         kernel: GuestKernel,
         technique: Technique | str = Technique.PROC,
-        disk_write_us_per_page: float | None = None,
     ) -> None:
         self.kernel = kernel
         self.technique = (
             Technique(technique) if isinstance(technique, str) else technique
         )
-        if disk_write_us_per_page is None:
-            disk_write_us_per_page = kernel.costs.params.disk_write_us_per_page
-        self.disk_write_us_per_page = disk_write_us_per_page
 
     # ------------------------------------------------------------------
     # monitored-dump API (what the paper's Fig. 7-9 experiments measure):
@@ -211,7 +207,8 @@ class CriuSession:
         tokens = kernel.vm.mmu.read_page_contents(self.process.space.pt, vpns)
         n = int(vpns.size)
         kernel.clock.charge(
-            n * self.criu.disk_write_us_per_page, World.TRACKER, EV_DISK_WRITE, n
+            n * kernel.costs.params.disk_write_us_per_page,
+            World.TRACKER, EV_DISK_WRITE, n,
         )
         kernel.clock.count_only(EV_TRACKING_ROUTINE)
         self.image.add_round(vpns, tokens)

@@ -51,16 +51,12 @@ class UafMitigator:
         kernel: GuestKernel,
         heap: GcHeap,
         technique: Technique | str = Technique.PROC,
-        scan_us_per_page: float = 2.0,
-        scan_us_per_obj: float = 0.02,
     ) -> None:
         self.kernel = kernel
         self.heap = heap
         self.technique = (
             Technique(technique) if isinstance(technique, str) else technique
         )
-        self.scan_us_per_page = scan_us_per_page
-        self.scan_us_per_obj = scan_us_per_obj
         self._tracker: DirtyPageTracker | None = None
         self._quarantine: set[int] = set()
         #: src object -> quarantined targets found at its last scan.
@@ -168,9 +164,10 @@ class UafMitigator:
         readable = scan_pages[present] if scan_pages.size else scan_pages
         if readable.size:
             self.kernel.access(self.heap.process, readable, False)
+        costs = self.kernel.costs.params
         clock.charge(
-            scan_ids.size * self.scan_us_per_obj
-            + scan_pages.size * self.scan_us_per_page,
+            scan_ids.size * costs.heap_scan_us_per_obj
+            + scan_pages.size * costs.heap_scan_us_per_page,
             World.TRACKER,
             EV_UAF_SCAN,
             int(scan_ids.size),

@@ -15,7 +15,7 @@ def stack():
     """A 32 MiB VM inside a 128 MiB host, with a guest kernel."""
     clock = SimClock()
     costs = CostModel()
-    hv = Hypervisor(clock, costs, host_mem_mb=128, ring_capacity=4096)
+    hv = Hypervisor(clock, costs, host_mem_mb=128)
     vm = hv.create_vm("vm0", mem_mb=32)
     kernel = GuestKernel(vm, switch_interval_us=50_000.0)
     return SimpleNamespace(clock=clock, costs=costs, hv=hv, vm=vm, kernel=kernel)

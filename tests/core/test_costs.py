@@ -1,7 +1,12 @@
 """Tests for the cost model."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.calibration import mb_to_pages
 from repro.core.costs import CostModel, CostParams
 
@@ -16,13 +21,6 @@ def test_params_defaults_from_table_va(cm: CostModel):
     assert cm.params.hc_init_pml_us == pytest.approx(5495.0)
     assert cm.params.hc_init_pml_shadow_us == pytest.approx(5878.0)
     assert cm.params.ioctl_init_pml_us == pytest.approx(5651.0)
-
-
-def test_with_overrides_returns_new_params(cm: CostModel):
-    p2 = cm.params.with_overrides(vmexit_roundtrip_us=10.0)
-    assert p2.vmexit_roundtrip_us == 10.0
-    assert cm.params.vmexit_roundtrip_us == 2.0  # original untouched
-    assert p2.context_switch_us == cm.params.context_switch_us
 
 
 def test_pf_unit_costs_scale_with_memory(cm: CostModel):
@@ -60,7 +58,7 @@ def test_rb_copy_cost(cm: CostModel):
 
 def test_disable_logging_spread_over_calls(cm: CostModel):
     n = mb_to_pages(1024)
-    total = cm.curve("m14_disable_logging").total(n)
+    total = cm.curves["m14_disable_logging"].total(n)
     assert cm.disable_logging_us(n, 10) == pytest.approx(float(total) / 10)
     assert cm.disable_logging_us(n, 0) == 0.0
 
@@ -74,3 +72,24 @@ def test_cost_params_frozen():
     p = CostParams()
     with pytest.raises(AttributeError):
         p.vmread_us = 1.0  # type: ignore[misc]
+    # Read-only from construction on: neither table takes an argument.
+    with pytest.raises(TypeError):
+        CostParams(vmread_us=1.0)  # type: ignore[call-arg]
+    with pytest.raises(TypeError):
+        CostModel(params=p)  # type: ignore[call-arg]
+    with pytest.raises(AttributeError):
+        CostModel().params = p  # type: ignore[misc]
+    assert CostModel().params is CostModel().params
+
+
+def test_every_cost_row_is_read_outside_the_table():
+    """A row no simulator module reads is a dead setting: each
+    ``CostParams`` field must be read as an attribute somewhere in
+    ``src/`` other than ``core/costs.py``."""
+    root = Path(repro.__file__).parent
+    read = set()
+    for path in root.rglob("*.py"):
+        if path != root / "core" / "costs.py":
+            tree = ast.parse(path.read_text(), str(path))
+            read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert [f.name for f in fields(CostParams) if f.name not in read] == []

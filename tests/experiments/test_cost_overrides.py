@@ -1,39 +1,7 @@
-"""Tests that cost-parameter overrides flow through the harness
-(the mechanism the ablation benchmarks rely on)."""
+"""Tests that harness overrides flow through to the stack (the mechanism
+the PML-buffer ablation benchmark relies on)."""
 
-import pytest
-
-from repro.core.costs import CostParams
-from repro.experiments.harness import build_stack, run_microbench
-
-
-def test_build_stack_accepts_cost_params():
-    params = CostParams().with_overrides(vmexit_roundtrip_us=50.0)
-    stack = build_stack(vm_mb=16, cost_params=params)
-    assert stack.costs.params.vmexit_roundtrip_us == 50.0
-
-
-def test_vmexit_cost_override_changes_spml_results():
-    cheap = run_microbench("spml", mem_mb=10)
-    dear = run_microbench(
-        "spml", mem_mb=10,
-        cost_params=CostParams().with_overrides(vmexit_roundtrip_us=500.0),
-    )
-    # Same mechanism counts, different cost: events equal, time higher.
-    assert dear.events["vmexit"] == cheap.events["vmexit"]
-    assert dear.tracked_us > cheap.tracked_us
-
-
-def test_disk_cost_override_changes_nothing_in_microbench():
-    """The microbench has no disk writes; an unrelated override must not
-    perturb results (guards against accidental coupling)."""
-    base = run_microbench("proc", mem_mb=10)
-    tweaked = run_microbench(
-        "proc", mem_mb=10,
-        cost_params=CostParams().with_overrides(disk_write_us_per_page=99.0),
-    )
-    assert tweaked.tracked_us == pytest.approx(base.tracked_us)
-    assert tweaked.tracker_us == pytest.approx(base.tracker_us)
+from repro.experiments.harness import run_microbench
 
 
 def test_pml_buffer_entries_override_changes_full_events():

@@ -118,6 +118,14 @@ def test_cli_rejects_bad_config(monkeypatch, capsys, experiment, flags, field):
     _assert_rejected(monkeypatch, capsys, experiment, flags, field)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("REPRO_VCPUS", "0"), ("REPRO_EXPERIMENT_CACHE", "maybe")]
+)
+def test_cli_rejects_bad_environment_switch(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    _assert_rejected(monkeypatch, capsys, "table1", [], name)
+
+
 def test_cli_leaves_environment_unchanged(capsys):
     before = dict(os.environ)
     assert main(["fleet", "--quick", "--hosts", "4", "--vms", "4"]) == 0

@@ -102,7 +102,7 @@ def test_result_never_aliases_input():
 # ---------------------------------------------------------------------
 def _fresh_heap(cls=GcHeap):
     clock = SimClock()
-    hv = Hypervisor(clock, CostModel(), host_mem_mb=128, ring_capacity=4096)
+    hv = Hypervisor(clock, CostModel(), host_mem_mb=128)
     kernel = GuestKernel(hv.create_vm("vm0", mem_mb=32), switch_interval_us=5e4)
     proc = kernel.spawn("app", n_pages=1024)
     return cls(kernel, proc, heap_pages=768)

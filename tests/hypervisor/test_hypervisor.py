@@ -43,11 +43,11 @@ def test_multiple_vms_get_disjoint_host_frames():
 
 def test_spml_init_hypercall_sets_flag_and_ring(stack):
     vm = stack.vm
-    ring = vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    ring = vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)
     assert vm.enabled_by_guest
     assert vm.spml_ring is ring
     with pytest.raises(HypercallError):
-        vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)  # double init
+        vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)  # double init
 
 
 def test_enable_logging_requires_init(stack):
@@ -57,7 +57,7 @@ def test_enable_logging_requires_init(stack):
 
 def test_pml_full_vmexit_copies_to_ring_when_guest_enabled(stack):
     vm = stack.vm
-    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)
     vm.vcpu.hypercall(hc.HC_OOH_ENABLE_LOGGING)
     n = vm.pml_buffer_entries
     vm.vcpu.pml.log_gpas(np.arange(n + 5, dtype=np.uint64))
@@ -80,7 +80,7 @@ def test_pml_not_delivered_without_guest_flag(stack):
 def test_both_users_receive_entries(stack):
     vm = stack.vm
     stack.hv.enable_vm_dirty_logging(vm)
-    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)
     vm.vcpu.hypercall(hc.HC_OOH_ENABLE_LOGGING)
     vm.vcpu.pml.log_gpas(np.arange(vm.pml_buffer_entries, dtype=np.uint64))
     assert len(vm.spml_ring) == vm.pml_buffer_entries
@@ -88,7 +88,7 @@ def test_both_users_receive_entries(stack):
 
 
 def _deact_by_hypercall(stack):
-    stack.vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    stack.vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)
     stack.vm.vcpu.hypercall(hc.HC_OOH_DEACT_PML)
 
 
@@ -117,7 +117,7 @@ def test_guest_deact_keeps_pml_if_hypervisor_uses_it(stack, deact):
 
 def test_hyp_deact_keeps_pml_if_guest_uses_it(stack):
     vm = stack.vm
-    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML)
+    vm.vcpu.hypercall(hc.HC_OOH_INIT_PML, 4096)
     vm.vcpu.hypercall(hc.HC_OOH_ENABLE_LOGGING)
     stack.hv.enable_vm_dirty_logging(vm)
     stack.hv.disable_vm_dirty_logging(vm)

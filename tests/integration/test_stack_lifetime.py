@@ -92,7 +92,7 @@ def test_microbench_stacks_freed_by_refcount(
     technique, n_vcpus, host_memories, no_cyclic_gc
 ):
     harness._run_microbench_uncached(
-        technique, 1.0, 2, None, 512, DEFAULT_SWITCH_INTERVAL_US
+        technique, 1.0, 2, 512, DEFAULT_SWITCH_INTERVAL_US
     )
     _assert_all_freed(host_memories)
 

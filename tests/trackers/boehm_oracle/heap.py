@@ -358,6 +358,15 @@ class GcHeap:
         pages = np.repeat(first + spans - spans.cumsum(), spans) + np.arange(total)
         self.alive[ids] = False
         self.obj_page[ids] = -1
+        # A freed object's out-edges die with it: every other stored edge
+        # has a live source, so keep exactly the edges out of live objects.
+        runs = []
+        for src, dst in self._runs:
+            keep = self.alive[src]
+            runs.append((src[keep], dst[keep]))
+        self._runs = runs
+        self.n_edges = sum(int(src.size) for src, _ in runs)
+        self._settle_runs()
         candidates = self._add_live(pages, -1)
         self._free_ids.append(ids.copy())
         # Pages with no live objects: unmap + reuse.

@@ -45,7 +45,7 @@ class _Dirty:
 
 def _collector(heap_cls, gc_cls):
     clock = SimClock()
-    hv = Hypervisor(clock, CostModel(), host_mem_mb=128, ring_capacity=4096)
+    hv = Hypervisor(clock, CostModel(), host_mem_mb=128)
     kernel = GuestKernel(hv.create_vm("vm0", mem_mb=32), switch_interval_us=5e4)
     heap = heap_cls(kernel, kernel.spawn("app", n_pages=1024), heap_pages=768)
     gc = gc_cls(kernel, heap)

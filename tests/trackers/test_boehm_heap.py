@@ -272,28 +272,14 @@ def test_freed_id_is_reused_first(heap):
     assert reused == a
 
 
-class _StaleEdgesError(Exception):
-    """A reused object id still carries its predecessor's out-edges."""
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=_StaleEdgesError,
-    reason="known simulator bug, fix deferred (it changes simulated output): "
-    "free_objects keeps a freed object's out-edges and only full cycles "
-    "compact them, so a reused id inherits its predecessor's references",
-)
 def test_reused_id_starts_without_out_edges(heap):
     a, b = heap.alloc(2, 256)
     heap.set_refs([a], [b])
     heap.free_objects(np.array([a]))
     (reused,) = heap.alloc(1, 256)
-    # Reuse itself is pinned by test_freed_id_is_reused_first; only the
-    # stale-edge check below is the expected failure.
     assert reused == a
-    stale = heap.out_neighbors(np.array([reused]))
-    if stale.size:
-        raise _StaleEdgesError(f"reused id {reused} still points to {stale}")
+    assert heap.out_neighbors(np.array([reused])).size == 0
+    assert heap.n_edges == 0
 
 
 # One step of edge-store history; small integers pick among live ids or
@@ -344,6 +330,8 @@ def test_property_edge_store_matches_append_log(steps):
         elif kind == "free" and live:
             dead = sorted({live[a % len(live)] for a in step[1]})
             heap.free_objects(np.array(dead, dtype=np.int64))
+            # A freed object's out-edges die with it.
+            log = [(s, d) for s, d in log if s not in dead]
             if step[2]:
                 heap.compact_edges()
                 log = [(s, d) for s, d in log if heap.alive[s] and heap.alive[d]]

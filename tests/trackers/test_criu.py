@@ -104,7 +104,7 @@ def test_mw_phase_cheaper_with_ring_buffer_techniques(stack):
                                     run_between_rounds=mutate)
         # Compare only the incremental rounds: subtract the full dump,
         # which is identical across techniques (present-page writes).
-        full_dump = 256 * criu.disk_write_us_per_page
+        full_dump = 256 * stack.costs.params.disk_write_us_per_page
         mw[technique] = report.phases.mw_us - full_dump
     assert mw[Technique.EPML] < mw[Technique.PROC]
 

@@ -41,7 +41,7 @@ def _app():
     """A fresh stack with one fully-written process.  The 32-entry PML
     buffer makes buffer-full events appear in these small runs."""
     clock = SimClock()
-    hv = Hypervisor(clock, CostModel(), host_mem_mb=128, ring_capacity=4096)
+    hv = Hypervisor(clock, CostModel(), host_mem_mb=128)
     vm = hv.create_vm("vm0", mem_mb=32, pml_buffer_entries=32)
     kernel = GuestKernel(vm, switch_interval_us=50_000.0)
     proc = kernel.spawn("app", n_pages=N_PAGES)

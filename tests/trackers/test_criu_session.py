@@ -73,7 +73,7 @@ def test_session_process_resumes_after_each_dump(stack):
 
 
 def test_custom_disk_write_cost(stack):
+    """The image write charges the cost table's per-page disk rate."""
     proc = make_app(stack)
-    slow = Criu(stack.kernel, Technique.ORACLE, disk_write_us_per_page=100.0)
-    _, report = slow.checkpoint(proc)
-    assert report.phases.mw_us >= 64 * 100.0
+    _, report = Criu(stack.kernel, Technique.ORACLE).checkpoint(proc)
+    assert report.phases.mw_us >= 64 * stack.costs.params.disk_write_us_per_page
