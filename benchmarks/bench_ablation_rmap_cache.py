@@ -36,7 +36,7 @@ def _run(reverse_map_cache: bool) -> SimpleNamespace:
     heap.add_roots(ids[:1])
     gc = BoehmGc(
         kernel, heap, Technique.SPML, GcParams(),
-        technique_kwargs={"reverse_map_cache": reverse_map_cache},
+        reverse_map_cache=reverse_map_cache,
     )
     with gc:
         heap.write_objs(ids)

@@ -103,11 +103,6 @@ class GuestKernel:
         for idt, pending in zip(self.idts, self._pending_shootdowns):
             idt.register(VECTOR_TLB_SHOOTDOWN, _shootdown_handler(pending))
 
-    @property
-    def idt(self) -> Idt:
-        """vCPU 0's IDT — single-vCPU compatibility alias."""
-        return self.idts[0]
-
     # ------------------------------------------------------------------
     # process lifecycle
     # ------------------------------------------------------------------

@@ -37,13 +37,12 @@ __all__ = ["ProcFs"]
 class ProcFs:
     """The /proc view over a set of guest processes."""
 
-    def __init__(self, clock: SimClock, costs: CostModel, kernel=None) -> None:
+    def __init__(self, clock: SimClock, costs: CostModel, kernel) -> None:
         self.clock = clock
         self.costs = costs
         #: Owning guest kernel, held weakly (the kernel owns this view);
-        #: when set, TLB invalidations use its SMP-correct shootdown path
-        #: instead of touching only one TLB.
-        self._kernel = weakref.ref(kernel) if kernel is not None else None
+        #: TLB invalidations use its SMP-correct flush of every vCPU.
+        self._kernel = weakref.ref(kernel)
 
     def clear_refs(self, process: Process) -> int:
         """``echo 4 > /proc/PID/clear_refs``; returns pages affected."""
@@ -54,10 +53,7 @@ class ProcFs:
         # their (stricter) protection.
         not_ufd = mapped[~pt.flag_mask(mapped, PTE_UFD_WP)]
         pt.clear_flags(not_ufd, PTE_WRITABLE)
-        if self._kernel is not None:
-            self._kernel().tlb_flush_all(process)
-        else:
-            process.space.tlb.flush()
+        self._kernel().tlb_flush_all(process)
         n = max(int(process.space.n_pages), 1)
         self.clock.charge(self.costs.clear_refs_us(n), World.TRACKER, EV_CLEAR_REFS)
         self.clock.count_only(EV_TLB_FLUSH)

@@ -54,14 +54,14 @@ class UserFaultFd:
         clock: SimClock,
         costs: CostModel,
         process: Process,
-        kernel=None,
+        kernel,
     ) -> None:
         if process.uffd is not None:
             raise TrackingError(f"process {process.pid} already has a userfaultfd")
         self.clock = clock
         self.costs = costs
         self.process = process
-        #: Owning guest kernel; when set, arming write protection uses the
+        #: Owning guest kernel; arming write protection uses its
         #: SMP-correct TLB-shootdown path (every vCPU may cache a stale
         #: writable translation).
         self.kernel = kernel
@@ -104,10 +104,7 @@ class UserFaultFd:
         armed = vpns[present]
         pt.set_flags(armed, PTE_UFD_WP)
         pt.clear_flags(armed, PTE_WRITABLE)
-        if self.kernel is not None:
-            self.kernel.tlb_shootdown(self.process, armed)
-        else:
-            self.process.space.tlb.invalidate(armed)
+        self.kernel.tlb_shootdown(self.process, armed)
         self.clock.charge(
             self.costs.ufd_write_protect_us(max(int(vpns.size), 1)),
             World.TRACKER,

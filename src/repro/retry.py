@@ -1,12 +1,13 @@
-"""Shared retry policy: exponential backoff for transient failures.
+"""Shared retry rule: exponential backoff for transient failures.
 
 Real PML deployments treat hypercall and allocation failures as transient
 until proven otherwise — Xen returns ``-EAGAIN`` for hypercalls racing a
-scheduler or grant operation, and the guest retries with backoff.  Every
-recovery path in this repo (OoH module hypercalls, guest demand-paging
-under allocator pressure, CRIU pre-dump collection, migration rounds)
-shares the one policy object defined here, so chaos experiments sweep a
-single knob.
+scheduler or grant operation, and the guest retries with backoff.  The
+OoH module's hypercalls, guest demand-paging under allocator pressure,
+CRIU pre-dump collection and the balloon's deflate allocation all retry
+by the one rule defined here: :data:`MAX_ATTEMPTS` attempts, waiting
+:func:`backoff_us` before each retry (migration rounds also test
+failures with :func:`is_transient`, under their own budget).
 
 Backoff time is *simulated*: each retry charges the wait to the
 :class:`~repro.core.clock.SimClock`, so recovery shows up honestly in
@@ -15,7 +16,6 @@ tracker/tracked overheads instead of being free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.clock import SimClock, World
@@ -25,18 +25,24 @@ from repro.obs.events import EventKind
 
 __all__ = [
     "EV_RETRY_BACKOFF",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
+    "MAX_ATTEMPTS",
     "Retrier",
+    "backoff_us",
     "is_transient",
 ]
 
 EV_RETRY_BACKOFF = "retry_backoff"
 
+#: Attempts per call, the first included.
+MAX_ATTEMPTS = 5
+#: Wait before the first retry; each later wait doubles.
+BASE_BACKOFF_US = 5.0
+BACKOFF_MULTIPLIER = 2.0
+
 
 def is_transient(exc: BaseException) -> bool:
-    """Default classifier: retry :class:`TransientError` and transient
-    hypercall codes; everything else is permanent."""
+    """Retry :class:`TransientError` and transient hypercall codes;
+    everything else is permanent."""
     if isinstance(exc, TransientError):
         return True
     if isinstance(exc, HypercallError):
@@ -44,50 +50,21 @@ def is_transient(exc: BaseException) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff (attempt 1 waits ``base_backoff_us``)."""
-
-    max_attempts: int = 5
-    base_backoff_us: float = 5.0
-    multiplier: float = 2.0
-    max_backoff_us: float = 10_000.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.base_backoff_us < 0 or self.multiplier < 1:
-            raise ValueError("backoff parameters must be non-negative/>=1")
-
-    def backoff_us(self, retry: int) -> float:
-        """Simulated wait before retry number ``retry`` (1-based)."""
-        return min(
-            self.base_backoff_us * self.multiplier ** (retry - 1),
-            self.max_backoff_us,
-        )
-
-
-DEFAULT_RETRY_POLICY = RetryPolicy()
+def backoff_us(retry: int) -> float:
+    """Simulated wait before retry number ``retry`` (1-based)."""
+    return BASE_BACKOFF_US * BACKOFF_MULTIPLIER ** (retry - 1)
 
 
 class Retrier:
-    """Applies one :class:`RetryPolicy`, charging backoff to the clock.
+    """Retries transient failures, charging backoff to the clock in ``world``.
 
     ``n_retries`` / ``n_exhausted`` accumulate across calls so callers can
     surface recovery activity in their stats (delta between two reads).
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        world: World = World.KERNEL,
-        policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        classify: Callable[[BaseException], bool] = is_transient,
-    ) -> None:
+    def __init__(self, clock: SimClock, world: World = World.KERNEL) -> None:
         self.clock = clock
         self.world = world
-        self.policy = policy
-        self.classify = classify
         self.n_retries = 0
         self.n_exhausted = 0
 
@@ -97,18 +74,18 @@ class Retrier:
             try:
                 return fn()
             except Exception as exc:
-                if not self.classify(exc):
+                if not is_transient(exc):
                     raise
-                if attempt >= self.policy.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     self.n_exhausted += 1
                     if otr.ACTIVE is not None:
                         otr.ACTIVE.metrics.inc("retry.exhausted")
                     raise
                 self.n_retries += 1
-                backoff_us = self.policy.backoff_us(attempt)
+                wait_us = backoff_us(attempt)
                 if otr.ACTIVE is not None:
                     otr.ACTIVE.emit(
-                        EventKind.RETRY, attempt=attempt, backoff_us=backoff_us
+                        EventKind.RETRY, attempt=attempt, backoff_us=wait_us
                     )
-                self.clock.charge(backoff_us, self.world, EV_RETRY_BACKOFF)
+                self.clock.charge(wait_us, self.world, EV_RETRY_BACKOFF)
                 attempt += 1

@@ -294,29 +294,35 @@ class GcHeap:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, dst) adjacency over every stored edge, each source's
         targets in append order.  Built on demand: marking and the UAF
-        scan use :meth:`out_neighbors`, which needs no rebuild."""
+        scan use :meth:`out_edges`, which needs no rebuild."""
         src, dst = _merged(self._runs)
         indptr = np.zeros(self._n_ids + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=self._n_ids), out=indptr[1:])
         return indptr, dst
 
-    def out_neighbors(self, ids: np.ndarray) -> np.ndarray:
-        """Targets of every edge out of ``ids``, as a multiset.
+    def out_edges(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of every edge out of ``ids``, as a multiset.
 
-        The order is run-major, not by source; every caller dedupes
-        (both marks through ``unique_pages``, the UAF scan into a set).
-        Each run answers by binary search on its sources, so a minor
-        cycle's scan set of a few thousand ids costs a few searches per
-        run, not a CSR rebuild over the whole id space.
+        The order is run-major, not by source.  Each run answers by
+        binary search on its sources, so a minor cycle's scan set of a
+        few thousand ids costs a few searches per run, not a CSR rebuild
+        over the whole id space.
         """
         ids = self._ids(ids)
-        parts = [np.empty(0, dtype=np.int64)]
+        srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for src, dst in self._runs:
             starts = np.searchsorted(src, ids, "left")
             lens = np.searchsorted(src, ids, "right") - starts
             if lens.any():
-                parts.append(dst[_ranges(starts, lens)])
-        return np.concatenate(parts)
+                at = _ranges(starts, lens)
+                srcs.append(src[at])
+                dsts.append(dst[at])
+        return np.concatenate(srcs), np.concatenate(dsts)
+
+    def out_neighbors(self, ids: np.ndarray) -> np.ndarray:
+        """Targets of every edge out of ``ids``, as a multiset (every
+        caller, both marks, dedupes them through ``unique_pages``)."""
+        return self.out_edges(ids)[1]
 
     def pages_of(self, ids: np.ndarray) -> np.ndarray:
         """Distinct first pages of objects ``ids``, ascending."""
@@ -364,7 +370,7 @@ class GcHeap:
         self.alive[each] = False
         self.obj_page[each] = -1
         self._free_ids.append(ids.copy())
-        self._drop_out_edges(ids)
+        self._drop_out_edges(ids, each)
         # Pages with no live objects: unmap + reuse.
         empty = candidates[self.page_live[candidates] == 0]
         if empty.size:
@@ -383,15 +389,19 @@ class GcHeap:
             self._free_pages.extend(empty.tolist())
         return int(ids.size)
 
-    def _drop_out_edges(self, ids: np.ndarray) -> None:
-        """Cut every edge out of ``ids`` (distinct), so a reused id starts
-        with none.  Runs are source-sorted, so the edges out of a block of
-        consecutive ids are one range of each run, found by binary search:
-        a bulk free costs a search per block, not per id or per edge."""
-        ids = ids if _ascending(ids) else np.sort(ids)
-        breaks = np.flatnonzero(ids[1:] != ids[:-1] + 1) + 1
-        first = ids[np.r_[0, breaks]]
-        last = ids[np.r_[breaks - 1, ids.size - 1]]
+    def _drop_out_edges(self, ids: np.ndarray, each: slice | np.ndarray) -> None:
+        """Cut every edge out of ``ids`` (distinct; ``each`` from
+        :func:`_column_index`), so a reused id starts with none.  Runs are
+        source-sorted, so the edges out of a block of consecutive ids are
+        one range of each run, found by binary search: a bulk free costs a
+        search per block, not per id or per edge."""
+        if isinstance(each, slice):  # the ids are one block
+            first, last = np.array([each.start]), np.array([each.stop - 1])
+        else:
+            ids = ids if _ascending(ids) else np.sort(ids)
+            breaks = np.flatnonzero(ids[1:] != ids[:-1] + 1) + 1
+            first = ids[np.r_[0, breaks]]
+            last = ids[np.r_[breaks - 1, ids.size - 1]]
         for k, (src, dst) in enumerate(self._runs):
             starts = np.searchsorted(src, first, "left")
             ends = np.searchsorted(src, last, "right")

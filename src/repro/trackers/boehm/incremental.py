@@ -36,23 +36,7 @@ class MarkResult:
 def full_mark(heap: GcHeap) -> MarkResult:
     """Stop-the-world mark: BFS over every live reachable object."""
     n = heap._n_ids
-    marked = np.zeros(n, dtype=bool)
-    roots = np.flatnonzero(heap.is_root[:n] & heap.alive[:n])
-    marked[roots] = True
-    frontier = roots
-    visited = [roots]
-    while frontier.size:
-        nbrs = heap.out_neighbors(frontier)
-        nbrs = unique_pages(nbrs[heap.alive[nbrs] & ~marked[nbrs]], n)
-        marked[nbrs] = True
-        visited.append(nbrs)
-        frontier = nbrs
-    all_visited = np.concatenate(visited) if visited else np.empty(0, np.int64)
-    return MarkResult(
-        marked=marked,
-        n_visited=int(all_visited.size),
-        scanned_pages=heap.pages_of(all_visited),
-    )
+    return _mark(heap, np.flatnonzero(heap.is_root[:n] & heap.alive[:n]), False)
 
 
 def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
@@ -63,28 +47,34 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
     unless their page is dirty.
     """
     n = heap._n_ids
-    marked = np.zeros(n, dtype=bool)
     roots = np.flatnonzero(heap.is_root[:n] & heap.alive[:n])
     on_dirty = heap.objects_on_pages(np.asarray(dirty_vpns, dtype=np.int64))
     old_dirty = on_dirty[heap.gen[on_dirty] == GEN_OLD]
-    scan_set = unique_pages(np.concatenate([roots, old_dirty]), n)
-    # Young scan-set members are themselves live young objects.
-    young_in_scan = scan_set[heap.gen[scan_set] == GEN_YOUNG]
-    marked[young_in_scan] = True
+    return _mark(heap, unique_pages(np.concatenate([roots, old_dirty]), n), True)
+
+
+def _mark(heap: GcHeap, scan_set: np.ndarray, young_only: bool) -> MarkResult:
+    """BFS from ``scan_set`` (distinct live ids, ascending) over live
+    objects, young ones only if ``young_only``; the scan set itself is
+    marked (only its young members if ``young_only``) and scanned."""
+    n = heap._n_ids
+    marked = np.zeros(n, dtype=bool)
+    if young_only:
+        marked[scan_set[heap.gen[scan_set] == GEN_YOUNG]] = True
+    else:
+        marked[scan_set] = True
     frontier = scan_set
     visited = [scan_set]
     while frontier.size:
         nbrs = heap.out_neighbors(frontier)
-        keep = (
-            heap.alive[nbrs]
-            & (heap.gen[nbrs] == GEN_YOUNG)
-            & ~marked[nbrs]
-        )
+        keep = heap.alive[nbrs] & ~marked[nbrs]
+        if young_only:
+            keep &= heap.gen[nbrs] == GEN_YOUNG
         nbrs = unique_pages(nbrs[keep], n)
         marked[nbrs] = True
         visited.append(nbrs)
         frontier = nbrs
-    all_visited = np.concatenate(visited) if visited else np.empty(0, np.int64)
+    all_visited = np.concatenate(visited)
     return MarkResult(
         marked=marked,
         n_visited=int(all_visited.size),

@@ -12,7 +12,8 @@ scans every live object; afterwards, pointers can only have changed on
 pages written since the previous scan, so each cycle re-scans exactly the
 dirty pages the tracking technique reports (plus the known referrers) —
 the same incremental structure as the Boehm mark phase, with the same
-technique-dependent cost profile.
+technique-dependent cost profile.  Both build on
+:class:`~repro.trackers.boehm.gc.HeapScanner`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clock import World
-from repro.core.tracking import DirtyPageTracker, Technique, make_tracker
+from repro.core.tracking import Technique
 from repro.errors import GcError
 from repro.guest.kernel import GuestKernel
+from repro.trackers.boehm.gc import HeapScanner
 from repro.trackers.boehm.heap import GcHeap
 
 __all__ = ["UafCycleReport", "UafMitigator"]
@@ -43,8 +44,10 @@ class UafCycleReport:
     quarantine_after: int
 
 
-class UafMitigator:
+class UafMitigator(HeapScanner):
     """Quarantine + incremental pointer scan over one GC heap."""
+
+    cycles: list[UafCycleReport]
 
     def __init__(
         self,
@@ -52,43 +55,12 @@ class UafMitigator:
         heap: GcHeap,
         technique: Technique | str = Technique.PROC,
     ) -> None:
-        self.kernel = kernel
-        self.heap = heap
-        self.technique = (
-            Technique(technique) if isinstance(technique, str) else technique
-        )
-        self._tracker: DirtyPageTracker | None = None
+        super().__init__(kernel, heap, technique)
         self._quarantine: set[int] = set()
         #: src object -> quarantined targets found at its last scan.
         self._last_refs: dict[int, set[int]] = {}
         #: quarantined id -> number of known referrers.
         self._refcount: dict[int, int] = {}
-        self._did_full = False
-        self.cycles: list[UafCycleReport] = []
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._tracker is not None:
-            raise GcError("mitigator already started")
-        kwargs = {}
-        if self.technique is Technique.SPML:
-            kwargs["reverse_map_cache"] = True
-        self._tracker = make_tracker(
-            self.technique, self.kernel, self.heap.process, **kwargs
-        )
-        self._tracker.start()
-
-    def stop(self) -> None:
-        if self._tracker is not None:
-            self._tracker.stop()
-            self._tracker = None
-
-    def __enter__(self) -> "UafMitigator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     def qfree(self, ids: np.ndarray | list[int]) -> None:
@@ -119,36 +91,35 @@ class UafMitigator:
             self._refcount[t] = self._refcount.get(t, 1) - 1
 
     def _scan_objects(self, ids: np.ndarray) -> None:
-        """Re-derive each object's quarantined targets from its edges."""
-        for src in (int(i) for i in ids):
-            if src in self._quarantine or not self.heap.alive[src]:
-                continue
-            targets = {
-                int(t)
-                for t in self.heap.out_neighbors(np.array([src]))
-                if int(t) in self._quarantine
-            }
-            old = self._last_refs.get(src, set())
+        """Re-derive each live, unquarantined object's quarantined targets
+        from its edges, all found by one edge-store lookup."""
+        heap = self.heap
+        quarantined = np.zeros(heap._n_ids, dtype=bool)
+        quarantined[np.fromiter(self._quarantine, np.int64)] = True
+        ids = ids[heap.alive[ids] & ~quarantined[ids]]
+        src, dst = heap.out_edges(ids)
+        hit = quarantined[dst]
+        found: dict[int, set[int]] = {}
+        for s, t in zip(src[hit].tolist(), dst[hit].tolist()):
+            found.setdefault(s, set()).add(t)
+        for s in ids.tolist():
+            targets = found.get(s, set())
+            old = self._last_refs.get(s, set())
             for t in old - targets:
                 self._refcount[t] = self._refcount.get(t, 1) - 1
             for t in targets - old:
                 self._refcount[t] = self._refcount.get(t, 0) + 1
             if targets:
-                self._last_refs[src] = targets
+                self._last_refs[s] = targets
             else:
-                self._last_refs.pop(src, None)
+                self._last_refs.pop(s, None)
 
     def collect(self) -> UafCycleReport:
         """One reclamation cycle: scan, then release unreferenced memory."""
-        if self._tracker is None:
-            raise GcError("collect before start")
         clock = self.kernel.clock
         t0 = clock.now_us
         idx = len(self.cycles)
-        dirty = self._tracker.collect()
-        dirty = dirty[
-            (dirty >= self.heap.vma.start_vpn) & (dirty < self.heap.vma.end_vpn)
-        ]
+        dirty = self._in_heap(self._collect_dirty())
         if not self._did_full:
             kind = "full"
             scan_ids = self.heap.live_ids()
@@ -158,20 +129,8 @@ class UafMitigator:
             kind = "incremental"
             scan_pages = dirty
             scan_ids = self.heap.objects_on_pages(scan_pages)
-        present = self.heap.process.space.pt.present_mask(scan_pages) if (
-            scan_pages.size
-        ) else np.empty(0, dtype=bool)
-        readable = scan_pages[present] if scan_pages.size else scan_pages
-        if readable.size:
-            self.kernel.access(self.heap.process, readable, False)
-        costs = self.kernel.costs.params
-        clock.charge(
-            scan_ids.size * costs.heap_scan_us_per_obj
-            + scan_pages.size * costs.heap_scan_us_per_page,
-            World.TRACKER,
-            EV_UAF_SCAN,
-            int(scan_ids.size),
-        )
+        self._read_present(scan_pages)
+        self._charge_scan(int(scan_ids.size), int(scan_pages.size), EV_UAF_SCAN)
         self._scan_objects(scan_ids)
 
         # Release quarantined objects nobody references any more.

@@ -1,14 +1,14 @@
-"""Shared retry policy: classification, backoff charging, exhaustion."""
+"""Shared retry rule: classification, backoff charging, exhaustion."""
 
 import pytest
 
 from repro.core.clock import SimClock, World
 from repro.errors import HypercallError, TransientError
 from repro.retry import (
-    DEFAULT_RETRY_POLICY,
     EV_RETRY_BACKOFF,
+    MAX_ATTEMPTS,
     Retrier,
-    RetryPolicy,
+    backoff_us,
     is_transient,
 )
 
@@ -26,16 +26,12 @@ def test_is_transient_classification():
     assert not is_transient(ValueError("x"))
 
 
-def test_policy_validation_and_cap():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    p = RetryPolicy(max_attempts=20, base_backoff_us=10.0, multiplier=10.0,
-                    max_backoff_us=500.0)
-    assert p.backoff_us(1) == 10.0
-    assert p.backoff_us(2) == 100.0
-    assert p.backoff_us(5) == 500.0  # capped
+def test_backoff_doubles_from_five_us():
+    """Five attempts; the four waits between them are 5, 10, 20, 40 us."""
+    assert MAX_ATTEMPTS == 5
+    assert [backoff_us(k) for k in range(1, MAX_ATTEMPTS)] == [
+        5 * 2 ** (k - 1) for k in range(1, MAX_ATTEMPTS)
+    ]
 
 
 def test_retrier_succeeds_and_charges_simulated_backoff():
@@ -51,9 +47,7 @@ def test_retrier_succeeds_and_charges_simulated_backoff():
 
     assert r.call(flaky) == 42
     assert r.n_retries == 2 and r.n_exhausted == 0
-    expected = (
-        DEFAULT_RETRY_POLICY.backoff_us(1) + DEFAULT_RETRY_POLICY.backoff_us(2)
-    )
+    expected = backoff_us(1) + backoff_us(2)
     assert clock.event_us(EV_RETRY_BACKOFF) == pytest.approx(expected)
     assert clock.world_us(World.KERNEL) == pytest.approx(expected)
 
@@ -68,7 +62,7 @@ def test_retrier_exhausts_and_reraises():
     with pytest.raises(TransientError):
         r.call(always)
     assert r.n_exhausted == 1
-    assert r.n_retries == DEFAULT_RETRY_POLICY.max_attempts - 1
+    assert r.n_retries == MAX_ATTEMPTS - 1
 
 
 def test_permanent_error_not_retried():

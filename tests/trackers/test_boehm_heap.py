@@ -300,7 +300,8 @@ edge_step = st.one_of(
 def test_property_edge_store_matches_append_log(steps):
     """The run store against a plain append log of (src, dst) pairs:
     the CSR export is the log's stable-argsort CSR, every query returns
-    the log's multiset, and the run count stays logarithmic."""
+    the log's multiset (of targets, and of (source, target) pairs), and
+    the run count stays logarithmic."""
     from collections import Counter
 
     clock = SimClock()
@@ -340,6 +341,10 @@ def test_property_edge_store_matches_append_log(steps):
             want = Counter(d for i in ids for s, d in log if s == i)
             got = heap.out_neighbors(np.array(ids, dtype=np.int64))
             assert Counter(got.tolist()) == want
+            # Each source's targets, once per occurrence of it in ids.
+            src, dst = heap.out_edges(np.array(ids, dtype=np.int64))
+            want = Counter((s, d) for i in ids for s, d in log if s == i)
+            assert Counter(zip(src.tolist(), dst.tolist())) == want
 
         assert heap.n_edges == len(log)
         assert len(heap._runs) <= len(log).bit_length()  # floor(log2 n) + 1

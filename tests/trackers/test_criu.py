@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.tracking import Technique
 from repro.errors import CheckpointError, TransientError
-from repro.retry import DEFAULT_RETRY_POLICY, EV_RETRY_BACKOFF
+from repro.retry import EV_RETRY_BACKOFF, backoff_us
 from repro.trackers.criu import Criu, restore
 
 TECHS = [Technique.PROC, Technique.UFD, Technique.SPML, Technique.EPML,
@@ -213,9 +213,7 @@ def test_checkpoint_retries_transient_collect(stack, monkeypatch, technique,
     assert sessions[0].retries == 1
     assert report.rounds == 3
     assert stack.clock.event_count(EV_RETRY_BACKOFF) == 1
-    assert stack.clock.event_us(EV_RETRY_BACKOFF) == (
-        DEFAULT_RETRY_POLICY.backoff_us(1)
-    )
+    assert stack.clock.event_us(EV_RETRY_BACKOFF) == backoff_us(1)
     _assert_restores_live(stack, proc, image)
 
 
@@ -234,9 +232,7 @@ def test_session_dump_retries_transient_collect(stack, technique, on_call):
     image = session.finish()
     assert session.retries == 1
     assert stack.clock.event_count(EV_RETRY_BACKOFF) == 1
-    assert stack.clock.event_us(EV_RETRY_BACKOFF) == (
-        DEFAULT_RETRY_POLICY.backoff_us(1)
-    )
+    assert stack.clock.event_us(EV_RETRY_BACKOFF) == backoff_us(1)
     _assert_restores_live(stack, proc, image)
 
 

@@ -75,6 +75,32 @@ def test_incremental_scan_touches_only_dirty_pages(stack, heap):
         assert inc.n_scanned < full.n_scanned / 10
 
 
+@pytest.mark.parametrize("technique", TECHS)
+def test_collect_makes_one_edge_lookup(stack, heap, technique, monkeypatch):
+    """A cycle finds every scanned object's targets in one batched
+    edge-store query, full and incremental alike."""
+    calls = []
+    out_edges = GcHeap.out_edges
+
+    def counted(self, ids):
+        calls.append(len(ids))
+        return out_edges(self, ids)
+
+    monkeypatch.setattr(GcHeap, "out_edges", counted)
+    m = UafMitigator(stack.kernel, heap, technique)
+    with m:
+        ids = heap.alloc(300, 64)
+        heap.set_refs(ids[:-1], ids[1:])
+        m.qfree(ids[100:110])
+        for _ in range(2):
+            heap.write_objs(ids[:100:7])
+            calls.clear()
+            report = m.collect()
+            assert report.n_scanned > 100
+            assert len(calls) == 1
+    assert m.quarantine_size == 1  # ids[99] still points at ids[100]
+
+
 def test_qfree_validation(stack, heap):
     m = UafMitigator(stack.kernel, heap, Technique.ORACLE)
     ids = heap.alloc(2, 128)
