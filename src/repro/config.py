@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["RunConfig", "env_flag", "env_int"]
+__all__ = ["RunConfig", "default_n_vcpus", "env_flag", "env_int"]
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -33,6 +33,18 @@ def env_int(name: str, default: int, minimum: int) -> int:
     if raw and (not re.fullmatch(r"[+-]?[0-9]+", raw) or int(raw) < minimum):
         raise ConfigurationError(f"{name}={raw!r}: expected an integer >= {minimum}")
     return int(raw) if raw else default
+
+
+def default_n_vcpus() -> int:
+    """vCPUs per experiment VM: ``REPRO_VCPUS`` (default 1, >= 1).
+
+    The one reader of ``REPRO_VCPUS``: ``build_stack``'s default, the
+    experiment cache key and the runner's parse-time check.  Direct
+    ``Hypervisor.create_vm`` callers (unit tests, golden-trace runs) pin
+    their own count, so a CI leg exporting ``REPRO_VCPUS=4`` scales the
+    experiment stacks without perturbing exact-count tests.
+    """
+    return env_int("REPRO_VCPUS", 1, minimum=1)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ from repro.hw import vmcs as vmcsf
 from repro.hw.interrupts import VECTOR_OOH_PML_FULL
 from repro.hw.pagetable import PTE_DIRTY
 from repro.hw.pageset import unique_pages
-from repro.hw.pml import PmlLevel
 from repro.hypervisor import hypercalls as hc
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
@@ -67,11 +66,6 @@ __all__ = ["OohKind", "OohModule", "OohLib", "OohAttachment", "OohTracker"]
 class OohKind(enum.Enum):
     SPML = "spml"
     EPML = "epml"
-
-    def level(self, vcpu) -> PmlLevel:
-        """The PML level this technique logs through on ``vcpu``: SPML the
-        hypervisor's (GPAs), EPML the guest's (GVAs)."""
-        return vcpu.pml.hyp if self is OohKind.SPML else vcpu.pml.guest
 
 
 @dataclass
@@ -261,14 +255,14 @@ class OohModule:
         """
         # SMP: loss can occur on any vCPU the tracked process visited,
         # so counters sum across vCPUs.
-        vcpus = self.kernel.vm.vcpus
-        lost = att.ring.total_dropped + sum(
-            lv.n_dropped + lv.n_injected_drops for lv in map(att.kind.level, vcpus)
-        )
+        vm = self.kernel.vm
         if att.kind is OohKind.SPML:
-            # SPML's full events are vmexits, which can be swallowed.
-            lost += sum(vc.n_dropped_vmexits for vc in vcpus)
-        return lost
+            # SPML logs through the hypervisor-level circuit, whose full
+            # events are vmexits that can be swallowed.
+            return att.ring.total_dropped + vm.hyp_log_losses()
+        return att.ring.total_dropped + sum(
+            vc.pml.guest.n_dropped + vc.pml.guest.n_injected_drops for vc in vm.vcpus
+        )
 
     # -- SPML -------------------------------------------------------------
     def _attach_spml(

@@ -1,16 +1,19 @@
-"""Keyed memo-cache for deterministic experiment runs.
+"""Memo-cache for deterministic experiment runs, keyed by signature.
 
-Every harness runner (:func:`repro.experiments.harness.run_microbench`,
-``run_criu``, ``run_boehm``) is a pure function of its arguments: stacks
-are built fresh per run and workload RNGs are seeded from the workload
-name, so identical configurations produce bit-identical results.  The
-experiment registry exploits that heavily — table1, table5, table6, fig3
-and fig4 all sweep the same (technique, size) microbench grid — so one
-shared cache keyed on the full argument tuple dedups the work for
-``runner all`` and the benchmark suite alike.
+Every memoized runner (:func:`repro.experiments.harness.run_microbench`,
+``run_criu``, ``run_boehm``, ``serverless_result``, and the fleet and
+overcommit scenarios at their registry calls) is a pure function of its
+arguments: stacks are built fresh per run and workload RNGs are seeded
+from the workload name, so identical arguments produce bit-identical
+results.  The experiment registry exploits that heavily — table1,
+table5, table6, fig3 and fig4 all sweep the same (technique, size)
+microbench grid — so one shared cache dedups the work for ``runner all``
+and the benchmark suite alike.
 
-Results are deep-copied on both store and hit so callers can mutate what
-they get back (e.g. ``run_boehm`` patches ``ideal_us``) without
+:func:`memoized` is the one place a key is built: the function's
+qualified name, every bound argument with defaults applied (enums by
+value) and the ``REPRO_VCPUS`` count.  Results are deep-copied on both
+store and hit so callers can mutate what they get back without
 corrupting the cache.  Set ``REPRO_EXPERIMENT_CACHE=0`` to disable
 caching, e.g. when benchmarking cold-run wall-clock.
 """
@@ -18,11 +21,16 @@ caching, e.g. when benchmarking cold-run wall-clock.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Hashable
+import enum
+import functools
+import inspect
+from typing import Any, Callable, Hashable, TypeVar
 
-from repro.config import env_flag
+from repro.config import default_n_vcpus, env_flag
 
-__all__ = ["MemoCache", "EXPERIMENT_CACHE"]
+__all__ = ["MemoCache", "EXPERIMENT_CACHE", "memoized"]
+
+F = TypeVar("F", bound=Callable[..., Any])
 
 
 class MemoCache:
@@ -70,6 +78,30 @@ class MemoCache:
         self.misses = 0
 
 
-#: Process-wide cache shared by the harness runners and the experiment
-#: registry (one mechanism, per the repo's "no parallel cache dicts" rule).
+#: Process-wide cache shared by every memoized runner (one mechanism,
+#: per the repo's "no parallel cache dicts" rule).
 EXPERIMENT_CACHE = MemoCache()
+
+
+def memoized(fn: F) -> F:
+    """``fn`` with its results kept in :data:`EXPERIMENT_CACHE`.
+
+    Two calls share a result exactly when they bind the same arguments
+    (defaults applied, enums by value, so ``"proc"`` and
+    ``Technique.PROC`` are one run) under the same ``REPRO_VCPUS``.
+    ``__wrapped__`` is ``fn`` itself, uncached.
+    """
+    signature = inspect.signature(fn)
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (name, default_n_vcpus(), *(
+            (arg, value.value if isinstance(value, enum.Enum) else value)
+            for arg, value in bound.arguments.items()
+        ))
+        return EXPERIMENT_CACHE.get_or_run(key, lambda: fn(*args, **kwargs))
+
+    return wrapper  # type: ignore[return-value]

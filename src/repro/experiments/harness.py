@@ -23,11 +23,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.config import env_int
+from repro.config import default_n_vcpus
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
 from repro.core.tracking import Technique, make_tracker
-from repro.experiments.cache import EXPERIMENT_CACHE
+from repro.experiments.cache import memoized
 from repro.guest.kernel import GuestKernel
 from repro.guest.scheduler import DEFAULT_SWITCH_INTERVAL_US
 from repro.hypervisor.hypervisor import Hypervisor
@@ -45,17 +45,6 @@ __all__ = [
     "BoehmRunResult",
     "run_boehm",
 ]
-
-
-def _default_n_vcpus() -> int:
-    """Experiment-level vCPU count: ``REPRO_VCPUS`` (default 1, >= 1).
-
-    Only :func:`build_stack` honours the environment variable — direct
-    ``Hypervisor.create_vm`` callers (unit tests, golden-trace runs) pin
-    their own count, so a CI matrix leg exporting ``REPRO_VCPUS=4`` scales
-    the experiment stacks without perturbing exact-count tests.
-    """
-    return env_int("REPRO_VCPUS", 1, minimum=1)
 
 
 def build_stack(
@@ -77,7 +66,7 @@ def build_stack(
         "vm0",
         mem_mb=vm_mb,
         pml_buffer_entries=pml_buffer_entries,
-        n_vcpus=n_vcpus if n_vcpus is not None else _default_n_vcpus(),
+        n_vcpus=n_vcpus if n_vcpus is not None else default_n_vcpus(),
     )
     kernel = GuestKernel(vm, switch_interval_us=switch_interval_us)
     return SimpleNamespace(clock=clock, costs=costs, hv=hv, vm=vm, kernel=kernel)
@@ -142,6 +131,7 @@ def _microbench_setup(mem_mb, pml_buffer_entries, switch_interval_us):
     return stack, proc, vpns, w.us_per_page
 
 
+@memoized
 def run_microbench(
     technique: Technique | str,
     mem_mb: float,
@@ -158,23 +148,9 @@ def run_microbench(
     A final collection after Tracked finishes only counts toward the
     tracker's own time.
     """
-    technique = Technique(technique) if isinstance(technique, str) else technique
+    technique = Technique(technique)
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    key = ("microbench", technique.value, mem_mb, passes, pml_buffer_entries,
-           switch_interval_us, _default_n_vcpus())
-    return EXPERIMENT_CACHE.get_or_run(key, lambda: _run_microbench_uncached(
-        technique, mem_mb, passes, pml_buffer_entries, switch_interval_us,
-    ))
-
-
-def _run_microbench_uncached(
-    technique: Technique,
-    mem_mb: float,
-    passes: int,
-    pml_buffer_entries: int,
-    switch_interval_us: float,
-) -> MicrobenchResult:
     # Ideal run: no tracker.
     stack, proc, vpns, us_pp = _microbench_setup(
         mem_mb, pml_buffer_entries, switch_interval_us
@@ -271,16 +247,25 @@ class _OpportunityDriver:
             action()
 
 
-def _count_opportunities(workload: Workload, vm_mb: float) -> tuple[int, float]:
-    stack = build_stack(vm_mb=vm_mb)
+def _criu_setup(workload: Workload) -> tuple[SimpleNamespace, FlatContext]:
+    stack = build_stack(vm_mb=workload.footprint_pages / 256 * 1.3 + 64)
     proc = stack.kernel.spawn(workload.name, n_pages=workload.footprint_pages + 64)
-    ctx = FlatContext(stack.kernel, proc)
+    return stack, FlatContext(stack.kernel, proc)
+
+
+@memoized
+def _criu_baseline(app: str, config: str, scale: float) -> tuple[int, float]:
+    """Untracked run: ``(n_opportunities, ideal_us)``, shared across the
+    technique sweep for one (app, config, scale)."""
+    workload = make_workload(app, config, scale=scale)
+    stack, ctx = _criu_setup(workload)
     counter = {"n": 0}
     ctx.checkpoint_opportunity = lambda: counter.__setitem__("n", counter["n"] + 1)  # type: ignore[method-assign]
     workload.run(ctx)
     return counter["n"], stack.clock.now_us
 
 
+@memoized
 def run_criu(
     app: str,
     config: str = "large",
@@ -296,36 +281,11 @@ def run_criu(
     captures the pages dirtied in between, exercising MD/MW per
     technique.
     """
-    technique = Technique(technique) if isinstance(technique, str) else technique
-    key = ("criu", app, config, technique.value, scale, dump_at_fraction,
-           track_from_fraction, _default_n_vcpus())
-    return EXPERIMENT_CACHE.get_or_run(key, lambda: _run_criu_uncached(
-        app, config, technique, scale, dump_at_fraction, track_from_fraction,
-    ))
-
-
-def _run_criu_uncached(
-    app: str,
-    config: str,
-    technique: Technique,
-    scale: float,
-    dump_at_fraction: float,
-    track_from_fraction: float,
-) -> CriuRunResult:
+    technique = Technique(technique)
+    n_opps, ideal_us = _criu_baseline(app, config, scale)
     workload = make_workload(app, config, scale=scale)
-    vm_mb = workload.footprint_pages / 256 * 1.3 + 64
-    # Untracked baseline: (n_opportunities, ideal_us), shared across the
-    # technique sweep for one (app, config, scale).
-    n_opps, ideal_us = EXPERIMENT_CACHE.get_or_run(
-        ("criu_ideal", app, config, scale, _default_n_vcpus()),
-        lambda: _count_opportunities(
-            make_workload(app, config, scale=scale), vm_mb
-        ),
-    )
-
-    stack = build_stack(vm_mb=vm_mb)
-    proc = stack.kernel.spawn(workload.name, n_pages=workload.footprint_pages + 64)
-    ctx = FlatContext(stack.kernel, proc)
+    stack, ctx = _criu_setup(workload)
+    proc = ctx.process
     criu = Criu(stack.kernel, technique)
     state: dict = {"session": None}
 
@@ -415,6 +375,7 @@ def _boehm_once(
     return stack, result
 
 
+@memoized
 def run_boehm(
     app: str,
     config: str = "small",
@@ -428,31 +389,14 @@ def run_boehm(
     the paper's baseline is the untracked application, so the overhead
     compares tracking techniques, with oracle as the floor).
     """
-    technique = Technique(technique) if isinstance(technique, str) else technique
+    technique = Technique(technique)
     params = gc_params if gc_params is not None else GcParams()
-    key = ("boehm", app, config, technique.value, scale, params,
-           _default_n_vcpus())
-    return EXPERIMENT_CACHE.get_or_run(key, lambda: _run_boehm_uncached(
-        app, config, technique, scale, params,
-    ))
-
-
-def _run_boehm_uncached(
-    app: str,
-    config: str,
-    technique: Technique,
-    scale: float,
-    params: GcParams,
-) -> BoehmRunResult:
-    # Oracle baselines are deterministic per configuration: cache the
-    # whole run so a technique sweep pays for each baseline once.
-    oracle = EXPERIMENT_CACHE.get_or_run(
-        ("boehm_oracle", app, config, scale, params, _default_n_vcpus()),
-        lambda: _boehm_once(app, config, Technique.ORACLE, scale, params)[1],
-    )
     if technique is Technique.ORACLE:
-        oracle.ideal_us = oracle.tracked_us
-        return oracle
+        _, result = _boehm_once(app, config, technique, scale, params)
+        result.ideal_us = result.tracked_us
+        return result
+    # A memoized call: a technique sweep pays for each baseline once.
+    oracle = run_boehm(app, config, Technique.ORACLE, scale, params)
     _, result = _boehm_once(app, config, technique, scale, params)
     result.ideal_us = oracle.tracked_us
     return result

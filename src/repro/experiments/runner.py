@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import RunConfig
+from repro.config import RunConfig, default_n_vcpus
 from repro.core import formulas
 from repro.core.calibration import TABLE_VB_MS, TABLE_VB_SIZES_MB, mb_to_pages
 from repro.core.costs import CostModel
@@ -31,12 +31,7 @@ from repro.core.tracking import Technique
 from repro.errors import ConfigurationError
 from repro.experiments.cache import EXPERIMENT_CACHE
 from repro.experiments.faultmatrix import exp_fault_matrix
-from repro.experiments.harness import (
-    _default_n_vcpus,
-    run_boehm,
-    run_criu,
-    run_microbench,
-)
+from repro.experiments.harness import run_boehm, run_criu, run_microbench
 from repro.experiments.tables import fmt_ms, fmt_pct, render_table
 from repro.fleet.economics.experiment import exp_overcommit
 from repro.fleet.experiment import exp_fleet
@@ -271,9 +266,8 @@ def exp_fig4(config: RunConfig) -> ExperimentOutput:
 # Fig. 5 / Fig. 6: Boehm
 # ---------------------------------------------------------------------
 def _boehm_matrix(quick: bool, configs: tuple[str, ...]) -> dict:
-    # No matrix-level cache: every run_boehm call below is memoized by
-    # the shared EXPERIMENT_CACHE, so fig5/fig6 dedup through the same
-    # mechanism as the benchmark suite.
+    # No matrix-level cache: run_boehm is memoized, so fig5/fig6 dedup
+    # through the same mechanism as the benchmark suite.
     apps = ["gcbench", "matrix-multiply"] if quick else BOEHM_APPS
     gc_params = GcParams(threshold_bytes=1 * 1024 * 1024)
 
@@ -519,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**{k: getattr(args, k) for k in given})
         # REPRO_VCPUS and REPRO_EXPERIMENT_CACHE: a bad value is a usage error.
-        _default_n_vcpus()
+        default_n_vcpus()
         EXPERIMENT_CACHE.enabled
     except ConfigurationError as exc:
         parser.error(str(exc))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.config import RunConfig
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
-from repro.experiments.cache import EXPERIMENT_CACHE
+from repro.experiments.cache import memoized
 from repro.fleet.economics.placement import pack
 from repro.fleet.host import FleetVm, Host, VmSpec
 
@@ -190,13 +190,8 @@ def exp_overcommit(config: RunConfig):
     from repro.experiments.tables import render_table
 
     ratios = list(config.overcommit_ratios)
-    results: list[OvercommitRunResult] = [
-        EXPERIMENT_CACHE.get_or_run(
-            ("overcommit", ratio, N_HOSTS, N_VMS, SEED, config.quick),
-            lambda r=ratio: run_overcommit_scenario(r, quick=config.quick),
-        )
-        for ratio in ratios
-    ]
+    run = memoized(run_overcommit_scenario)
+    results = [run(ratio, quick=config.quick) for ratio in ratios]
     headers = ["ratio", "admitted", "rejected", "nominal/cap", "reclaimed",
                "refaults", "refault/1k", "round us", "peak press"]
     rows = []

@@ -24,7 +24,7 @@ import numpy as np
 from repro.config import RunConfig
 from repro.core.clock import SimClock
 from repro.core.costs import CostModel
-from repro.experiments.cache import EXPERIMENT_CACHE
+from repro.experiments.cache import memoized
 from repro.fleet.host import Host, VmSpec
 from repro.fleet.orchestrator import (
     FleetMigrationReport,
@@ -121,10 +121,7 @@ def exp_fleet(config: RunConfig):
     from repro.experiments.tables import fmt_ms, render_table
 
     n_hosts, n_vms, seed = config.fleet_hosts, config.fleet_vms, SEED
-    result: FleetScenarioResult = EXPERIMENT_CACHE.get_or_run(
-        ("fleet", n_hosts, n_vms, seed, config.quick),
-        lambda: run_fleet_scenario(n_hosts, n_vms, seed, quick=config.quick),
-    )
+    result = memoized(run_fleet_scenario)(n_hosts, n_vms, seed, quick=config.quick)
     headers = ["vm", "route", "mode", "rounds", "pages", "retrans",
                "throttle", "wss", "downtime ms", "total ms", "ok"]
     rows = []

@@ -93,8 +93,9 @@ class MigrationReport:
     aborted_reason: str | None = None
     #: Transient harvest failures retried within the round budget.
     round_retries: int = 0
-    #: PML-full vmexits that were never delivered during this migration;
-    #: non-zero forces a conservative full resend at stop-and-copy.
+    #: PML-full vmexits that were never delivered during this migration.
+    #: Any hypervisor-level log loss (these, or dropped PML entries)
+    #: forces a conservative full resend at stop-and-copy.
     lost_pml_vmexits: int = 0
     #: GPFNs still dirty when a policy abandoned pre-copy (post-copy
     #: fallback); ``None`` on every other exit path.
@@ -150,16 +151,22 @@ class LiveMigration:
                 attempt += 1
                 report.round_retries += 1
 
+    def _loss_marks(self) -> tuple[int, int]:
+        """``(hypervisor-level log losses, dropped vmexits)`` so far."""
+        return (self.vm.hyp_log_losses(),
+                sum(vc.n_dropped_vmexits for vc in self.vm.vcpus))
+
     def _final_pages(
-        self, report: MigrationReport, dirty: np.ndarray, vmexit_mark: int
+        self, report: MigrationReport, dirty: np.ndarray, marks: tuple[int, int]
     ) -> np.ndarray:
         """Stop-and-copy page set, widened to *all* mapped pages if any
-        PML-full vmexit was swallowed (the lost batch could hold anything)."""
-        lost = sum(vc.n_dropped_vmexits for vc in self.vm.vcpus) - vmexit_mark
-        if lost > 0:
-            report.lost_pml_vmexits = lost
-            return np.nonzero(self.vm.ept.hpfn >= 0)[0]
-        return dirty
+        hypervisor-level log entry was lost since ``marks`` (a dropped
+        entry or a swallowed PML-full batch could be any page)."""
+        losses, vmexits = self._loss_marks()
+        if losses == marks[0]:
+            return dirty
+        report.lost_pml_vmexits = vmexits - marks[1]
+        return np.nonzero(self.vm.ept.hpfn >= 0)[0]
 
     def _precopy_policy(
         self, report: MigrationReport, dirty: np.ndarray
@@ -188,7 +195,7 @@ class LiveMigration:
         report = MigrationReport()
         clock = self.hypervisor.clock
         start = clock.now_us
-        vmexit_mark = sum(vc.n_dropped_vmexits for vc in self.vm.vcpus)
+        marks = self._loss_marks()
 
         self.hypervisor.enable_vm_dirty_logging(self.vm)
         try:
@@ -211,7 +218,7 @@ class LiveMigration:
                 dirty = self._harvest(report)
                 if dirty.size <= self.stop_threshold_pages:
                     # Stop-and-copy: guest paused for the final transfer.
-                    dirty = self._final_pages(report, dirty, vmexit_mark)
+                    dirty = self._final_pages(report, dirty, marks)
                     report.downtime_us = self._send(int(dirty.size))
                     report.pages_per_round.append(int(dirty.size))
                     report.total_pages_sent += int(dirty.size)
@@ -224,7 +231,7 @@ class LiveMigration:
                     # rides out through the report instead of a send.
                     report.aborted_reason = reason
                     report.remaining_pages = self._final_pages(
-                        report, dirty, vmexit_mark
+                        report, dirty, marks
                     )
                     break
                 # No-progress bailout: a dirty set that refuses to shrink
@@ -255,7 +262,7 @@ class LiveMigration:
                 dirty = self._harvest(report)
                 if pending is not None:
                     dirty = np.union1d(pending, dirty)
-                dirty = self._final_pages(report, dirty, vmexit_mark)
+                dirty = self._final_pages(report, dirty, marks)
                 report.downtime_us = self._send(int(dirty.size))
                 report.pages_per_round.append(int(dirty.size))
                 report.total_pages_sent += int(dirty.size)

@@ -111,6 +111,16 @@ class Vm:
         for vc in self.vcpus if vcpus is None else vcpus:
             vc.vmcs.write(vc.pml.hyp.f_enable, 0)
 
+    def hyp_log_losses(self) -> int:
+        """Monotonic count of hypervisor-level dirty-log entries lost, over
+        every vCPU: PML entries with no drain handler or lost to an
+        injected race, plus swallowed PML-full vmexits (whose batch could
+        hold any page).  A consumer that sees it move must widen its set."""
+        return sum(
+            vc.pml.hyp.n_dropped + vc.pml.hyp.n_injected_drops + vc.n_dropped_vmexits
+            for vc in self.vcpus
+        )
+
     def drain_hyp_dirty_log(self) -> np.ndarray:
         """Collect and clear the hypervisor-side dirty GPA log."""
         if not self.hyp_dirty_log:

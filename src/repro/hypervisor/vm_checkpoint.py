@@ -64,7 +64,12 @@ def checkpoint_vm(
     run_round: Callable[[], None] | None = None,
     predump_rounds: int = 0,
 ) -> tuple[VmImage, VmCheckpointReport]:
-    """Checkpoint the whole VM using hypervisor-level PML pre-copy."""
+    """Checkpoint the whole VM using hypervisor-level PML pre-copy.
+
+    If any hypervisor-level log entry was lost meanwhile
+    (:meth:`~repro.hypervisor.vm.Vm.hyp_log_losses`), the freeze dumps
+    every allocated guest frame again: the lost entry could be any page.
+    """
     if predump_rounds < 0:
         raise CheckpointError("predump_rounds must be >= 0")
     if predump_rounds > 0 and run_round is None:
@@ -88,13 +93,16 @@ def checkpoint_vm(
         image.rounds.append((gpfns.astype(np.int64), tokens))
         report.pages_per_round.append(int(gpfns.size))
 
+    def allocated() -> np.ndarray:
+        return np.nonzero(vm.guest_frames._allocated)[0].astype(np.int64)
+
     hypervisor.enable_vm_dirty_logging(vm)
     try:
         vm.ept.clear_dirty()
+        loss_mark = vm.hyp_log_losses()
         # Round 0: every allocated guest frame — the whole VM, which is
         # exactly the §III-C objection.
-        allocated = np.nonzero(vm.guest_frames._allocated)[0].astype(np.int64)
-        dump(allocated)
+        dump(allocated())
         report.rounds = 1
         for _ in range(predump_rounds):
             run_round()
@@ -104,6 +112,8 @@ def checkpoint_vm(
         # Final freeze: the whole VM pauses while the residue is copied.
         t0 = clock.now_us
         dirty = hypervisor.harvest_vm_dirty(vm).astype(np.int64)
+        if vm.hyp_log_losses() != loss_mark:
+            dirty = allocated()
         dump(dirty)
         report.rounds += 1
         report.freeze_us = clock.now_us - t0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.config import RunConfig
 from repro.errors import WorkloadError
-from repro.experiments.cache import EXPERIMENT_CACHE
+from repro.experiments.cache import memoized
 from repro.serverless.driver import (
     ServerlessConfig,
     ServerlessRunResult,
@@ -31,30 +31,15 @@ __all__ = ["exp_serverless", "serverless_result"]
 MODES = ("oracle", "epml", "spml", "proc")
 
 
+@memoized
 def serverless_result(mode: str, cfg: ServerlessConfig) -> ServerlessRunResult:
-    """One memo-cached serverless run (fresh stack per run)."""
-    from repro.experiments.harness import _default_n_vcpus, build_stack
+    """One serverless run on a fresh stack, keyed by the whole ``cfg``."""
+    from repro.experiments.harness import build_stack
 
-    vcpus = _default_n_vcpus()
-    key = (
-        "serverless",
-        mode,
-        cfg.n_instances,
-        cfg.n_tenants,
-        cfg.region_pages,
-        cfg.seed,
-        cfg.mean_burst,
-        cfg.plan_variants,
-        vcpus,
-    )
-
-    def _run() -> ServerlessRunResult:
-        # Host sized with headroom: instances are sequential, so the
-        # footprint is one region + kernel structures, not the sum.
-        stack = build_stack(vm_mb=64, n_vcpus=vcpus)
-        return run_serverless(stack.kernel, mode, cfg)
-
-    return EXPERIMENT_CACHE.get_or_run(key, _run)
+    # Host sized with headroom: instances are sequential, so the
+    # footprint is one region + kernel structures, not the sum.
+    stack = build_stack(vm_mb=64)
+    return run_serverless(stack.kernel, mode, cfg)
 
 
 def exp_serverless(config: RunConfig):

@@ -186,7 +186,10 @@ class BoehmGc(HeapScanner):
         # every collected page, not only the heap's.
         dirty = self._collect_dirty()
         result = full_mark(heap)
-        self._read_present(result.scanned_pages)
+        # Every scanned page is read, mapped or not (a minor cycle reads
+        # only the mapped ones).
+        if result.scanned_pages.size:
+            self.kernel.access(heap.process, result.scanned_pages, False)
         self._charge_scan(
             result.n_visited, int(result.scanned_pages.size), EV_GC_SCAN
         )

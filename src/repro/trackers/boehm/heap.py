@@ -27,6 +27,10 @@ __all__ = ["GcHeap"]
 GEN_YOUNG = 0
 GEN_OLD = 1
 
+#: The empty id column every edge gather starts from (so no hit reads as
+#: an empty int64 array).
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 
 class GcHeap:
     """Object heap on one process."""
@@ -308,21 +312,29 @@ class GcHeap:
         few thousand ids costs a few searches per run, not a CSR rebuild
         over the whole id space.
         """
-        ids = self._ids(ids)
-        srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for src, dst in self._runs:
-            starts = np.searchsorted(src, ids, "left")
-            lens = np.searchsorted(src, ids, "right") - starts
-            if lens.any():
-                at = _ranges(starts, lens)
-                srcs.append(src[at])
-                dsts.append(dst[at])
-        return np.concatenate(srcs), np.concatenate(dsts)
+        hits = self._edge_positions(ids)
+        return (np.concatenate([_NO_IDS] + [src[at] for src, _, at in hits]),
+                np.concatenate([_NO_IDS] + [dst[at] for _, dst, at in hits]))
 
     def out_neighbors(self, ids: np.ndarray) -> np.ndarray:
         """Targets of every edge out of ``ids``, as a multiset (every
         caller, both marks, dedupes them through ``unique_pages``)."""
-        return self.out_edges(ids)[1]
+        hits = self._edge_positions(ids)
+        return np.concatenate([_NO_IDS] + [dst[at] for _, dst, at in hits])
+
+    def _edge_positions(
+        self, ids: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(src, dst, at)`` for each run with edges out of ``ids``:
+        ``at`` indexes those edges in the run's columns."""
+        ids = self._ids(ids)
+        hits = []
+        for src, dst in self._runs:
+            starts = np.searchsorted(src, ids, "left")
+            lens = np.searchsorted(src, ids, "right") - starts
+            if lens.any():
+                hits.append((src, dst, _ranges(starts, lens)))
+        return hits
 
     def pages_of(self, ids: np.ndarray) -> np.ndarray:
         """Distinct first pages of objects ``ids``, ascending."""

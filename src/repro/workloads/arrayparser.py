@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.workloads.base import MemoryContext, Workload
 
@@ -26,17 +25,12 @@ BATCH_PAGES = 16384
 class ArrayParser(Workload):
     """Write one word per page over ``mem_mb`` of memory, ``passes`` times."""
 
-    mem_mb: float = 1.0
     passes: int = 1
     name: str = "arrayparser"
 
     def __post_init__(self) -> None:
         if self.mem_mb <= 0 or self.passes < 1:
             raise WorkloadError("mem_mb must be > 0 and passes >= 1")
-
-    @property
-    def footprint_pages(self) -> int:
-        return int(round(self.mem_mb * PAGES_PER_MB))
 
     def _run(self, ctx: MemoryContext) -> None:
         region = ctx.alloc_region(self.footprint_pages, "array")

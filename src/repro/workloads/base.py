@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
@@ -160,7 +161,7 @@ class GcContext(MemoryContext):
 
 @dataclass
 class Workload(abc.ABC):
-    """Base class: subclasses define ``_run`` and their footprint."""
+    """Base class: subclasses define ``_run``."""
 
     config_name: str = "small"
     us_per_page: float = DEFAULT_US_PER_PAGE
@@ -168,11 +169,25 @@ class Workload(abc.ABC):
     params: dict = field(default_factory=dict)
 
     name: str = "workload"
+    #: Memory footprint (Table III), MiB.
+    mem_mb: float = 1.0
+    #: Multiplies the iteration count; the footprint stays.
+    scale: float = 1.0
+
+    @classmethod
+    def from_config(cls, cfg, scale: float = 1.0):
+        """Build the app from a Table III cell (see configs.TABLE_III)."""
+        return cls(
+            config_name=cfg.config,
+            mem_mb=cfg.mem_mb,
+            scale=scale,
+            params=dict(cfg.params),
+        )
 
     @property
-    @abc.abstractmethod
     def footprint_pages(self) -> int:
         """Pages the workload touches (sizes the process address space)."""
+        return int(round(self.mem_mb * PAGES_PER_MB))
 
     def run(self, ctx: MemoryContext) -> None:
         """Execute the workload against a memory context."""

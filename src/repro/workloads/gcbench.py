@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.calibration import PAGE_SIZE, PAGES_PER_MB
+from repro.core.calibration import PAGE_SIZE
 from repro.errors import WorkloadError
 from repro.workloads.base import GcContext, MemoryContext, Workload
 
@@ -69,7 +69,6 @@ class GcBench(Workload):
     long_lived_depth: int = 16
     stretch_depth: int = 18
     mem_mb: float = 15.07
-    scale: float = 1.0
     name: str = "gcbench"
 
     @classmethod
@@ -84,10 +83,6 @@ class GcBench(Workload):
             scale=scale,
             params=dict(cfg.params),
         )
-
-    @property
-    def footprint_pages(self) -> int:
-        return int(round(self.mem_mb * PAGES_PER_MB))
 
     def _run(self, ctx: MemoryContext) -> None:
         if not isinstance(ctx, GcContext):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.workloads.base import MemoryContext, Workload
 
@@ -26,23 +25,7 @@ BATCH_PAGES = 16384
 class PhoenixApp(Workload):
     """Base for the six Phoenix applications."""
 
-    mem_mb: float = 1.0
-    scale: float = 1.0
     name: str = "phoenix"
-
-    @classmethod
-    def from_config(cls, cfg, scale: float = 1.0):
-        """Build the app from a Table III cell (see configs.TABLE_III)."""
-        return cls(
-            config_name=cfg.config,
-            mem_mb=cfg.mem_mb,
-            scale=scale,
-            params=dict(cfg.params),
-        )
-
-    @property
-    def footprint_pages(self) -> int:
-        return int(round(self.mem_mb * PAGES_PER_MB))
 
     # -- helpers -------------------------------------------------------
     def _scaled(self, n: int, minimum: int = 1) -> int:

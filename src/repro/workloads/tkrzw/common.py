@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.hw.pageset import unique_pages
 from repro.workloads.base import MemoryContext, Workload
@@ -28,25 +27,9 @@ OPS_PER_BATCH = 100_000
 class KvEngine(Workload):
     """Base for the five in-memory engines."""
 
-    mem_mb: float = 1.0
-    scale: float = 1.0
     name: str = "tkrzw"
     #: Own compute per operation, us.
     us_per_op: float = 4.0
-
-    @classmethod
-    def from_config(cls, cfg, scale: float = 1.0):
-        """Build the engine from a Table III cell (scale shrinks n_iter)."""
-        return cls(
-            config_name=cfg.config,
-            mem_mb=cfg.mem_mb,
-            scale=scale,
-            params=dict(cfg.params),
-        )
-
-    @property
-    def footprint_pages(self) -> int:
-        return int(round(self.mem_mb * PAGES_PER_MB))
 
     @property
     def n_iter(self) -> int:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.cache import EXPERIMENT_CACHE, MemoCache
+from repro.core.tracking import Technique
+from repro.experiments.cache import EXPERIMENT_CACHE, MemoCache, memoized
 from repro.experiments.harness import run_boehm, run_criu, run_microbench
+from repro.serverless.driver import ServerlessConfig
+from repro.serverless.experiment import serverless_result
 
 
 def test_memocache_hit_miss_accounting():
@@ -99,3 +102,30 @@ def test_run_boehm_memoized_with_oracle_baseline():
     assert a.ideal_us == b.tracked_us == b.ideal_us
     c = run_boehm("gcbench", "small", "proc", scale=0.002)
     assert (c.tracked_us, c.ideal_us) == (a.tracked_us, a.ideal_us)
+
+
+def test_memoized_key_is_the_bound_signature(monkeypatch):
+    calls = []
+
+    @memoized
+    def run(technique, size, passes=2):
+        calls.append((technique, size, passes))
+        return [size]
+
+    first = run(Technique.PROC, 4)
+    # Same run: enum by value, defaults applied, keyword spelling.
+    assert run("proc", 4) == run(technique="proc", size=4, passes=2) == first
+    assert len(calls) == 1
+    run("proc", 4, passes=3)
+    run("spml", 4)
+    monkeypatch.setenv("REPRO_VCPUS", "2")
+    run("proc", 4)
+    assert len(calls) == 4
+    assert run.__wrapped__("proc", 4) == [4] and len(calls) == 5
+
+
+def test_serverless_key_covers_every_config_field():
+    a = serverless_result("oracle", ServerlessConfig(n_instances=8, compute_us=50.0))
+    b = serverless_result("oracle", ServerlessConfig(n_instances=8, compute_us=500.0))
+    assert (a.cfg.compute_us, b.cfg.compute_us) == (50.0, 500.0)
+    assert b.total_us > a.total_us

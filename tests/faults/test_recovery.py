@@ -103,3 +103,27 @@ def test_demand_paging_retries_transient_frame_exhaustion(stack):
     handler = stack.kernel.fault_handler(proc)
     assert handler.n_alloc_retries >= 1
     assert proc.space.pt.mapped_vpns().size == 16
+
+
+def test_spml_loss_counter_is_the_vms_hypervisor_level_loss(stack):
+    """SPML logs through the hypervisor-level circuit, so its loss
+    counter is the ring's drops plus the VM's one hypervisor-level count:
+    a dropped entry and a swallowed PML-full vmexit each trigger a
+    resync, and the VM's count sums both."""
+    proc = _spawn(stack)
+    module = OohModule(stack.kernel)
+    lib = OohLib(module)
+    att = lib.attach(proc, OohKind.SPML, resync_on_loss=True)
+    plan = FaultPlan([FaultSpec(FaultSite.PML_ENTRY_DROP, 1.0, max_fires=3),
+                      FaultSpec(FaultSite.VMEXIT_DROP, 1.0, max_fires=1)])
+    with plan.active():
+        stack.kernel.access(proc, np.arange(1024), True)
+    hyp = stack.vm.vcpu.pml.hyp
+    assert (hyp.n_injected_drops, stack.vm.vcpu.n_dropped_vmexits) == (3, 1)
+    assert stack.vm.hyp_log_losses() == 3 + hyp.n_dropped + 1
+    assert module._loss_counter(att) == (
+        att.ring.total_dropped + stack.vm.hyp_log_losses())
+    got = lib.fetch(att)
+    assert att.last_stats.n_resyncs == 1
+    assert set(range(1024)) <= set(got.tolist())
+    lib.detach(att)

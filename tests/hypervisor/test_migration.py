@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.hypervisor.migration import LiveMigration
 
 
@@ -71,3 +72,17 @@ def test_migration_charges_send_time(stack):
 def test_bad_max_rounds():
     with pytest.raises(ConfigurationError):
         LiveMigration(None, None, max_rounds=0)
+
+
+def test_migration_resends_everything_after_dropped_pml_entries(stack):
+    """A dropped hypervisor-level PML entry could be any page: the
+    stop-and-copy round widens to every mapped page, although no vmexit
+    was lost."""
+    _, workload = make_workload(stack, n_pages=2048, writes_per_round=1024)
+    mig = LiveMigration(stack.hv, stack.vm, stop_threshold_pages=2048)
+    with FaultPlan([FaultSpec(FaultSite.PML_ENTRY_DROP, 0.5)]).active():
+        report = mig.migrate(workload)
+    assert report.converged
+    assert report.pages_per_round[-1] == stack.vm.mem_pages
+    assert report.lost_pml_vmexits == 0
+    assert stack.vm.vcpu.pml.hyp.n_injected_drops > 0

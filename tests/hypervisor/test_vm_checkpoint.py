@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.tracking import Technique
 from repro.errors import CheckpointError
+from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.hypervisor.vm_checkpoint import checkpoint_vm
 from repro.trackers.criu import Criu
 
@@ -66,3 +67,25 @@ def test_vm_checkpoint_leaves_logging_off(stack):
     populate(stack, "a", 16)
     checkpoint_vm(stack.hv, stack.vm)
     assert not stack.vm.enabled_by_hyp
+
+
+@pytest.mark.parametrize("site", [FaultSite.VMEXIT_DROP, FaultSite.PML_ENTRY_DROP],
+                         ids=lambda s: s.value)
+def test_vm_checkpoint_widens_freeze_after_lost_log_entries(stack, site):
+    """Hypervisor-level PML entries lost during a pre-dump round could be
+    any page, so the freeze dumps every allocated frame again: the image
+    holds no stale page."""
+    proc = populate(stack, "a", 4096)
+
+    def round_():
+        stack.kernel.access(proc, np.arange(0, 4096, 2), True)
+
+    with FaultPlan([FaultSpec(site, 1.0)]).active():
+        image, report = checkpoint_vm(stack.hv, stack.vm, round_,
+                                      predump_rounds=1)
+    allocated = np.nonzero(stack.vm.guest_frames._allocated)[0]
+    flat = image.flatten()
+    current = stack.hv.host_mem.read(stack.vm.ept.translate(allocated))
+    assert [flat[int(g)] for g in allocated] == current.tolist()
+    assert report.pages_per_round[-1] == allocated.size
+    assert stack.vm.hyp_log_losses() > 0

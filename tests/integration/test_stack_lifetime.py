@@ -91,7 +91,7 @@ def n_vcpus(request, monkeypatch):
 def test_microbench_stacks_freed_by_refcount(
     technique, n_vcpus, host_memories, no_cyclic_gc
 ):
-    harness._run_microbench_uncached(
+    harness.run_microbench.__wrapped__(
         technique, 1.0, 2, 512, DEFAULT_SWITCH_INTERVAL_US
     )
     _assert_all_freed(host_memories)
@@ -103,7 +103,7 @@ def test_microbench_stacks_freed_by_refcount(
 def test_criu_stacks_freed_by_refcount(
     technique, n_vcpus, host_memories, no_cyclic_gc
 ):
-    harness._run_criu_uncached("stdhash", "small", technique, 0.05, 0.6, 0.1)
+    harness.run_criu.__wrapped__("stdhash", "small", technique, 0.05, 0.6, 0.1)
     _assert_all_freed(host_memories)
 
 

@@ -99,3 +99,45 @@ def test_configuration_surface():
     section = re.search(r"^## [\d. ]*Configuration$(.*?)(?=^## |\Z)", design,
                         re.M | re.S).group(1)
     assert set(re.findall(r"^\| `(REPRO_\w+)`", section, re.M)) == ENV_SWITCHES
+
+
+def _calling_functions(tree: ast.AST, test) -> list[str]:
+    """The enclosing function name (``""`` at module level) of every call
+    ``test`` accepts."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and test(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def _is_get_or_run(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "get_or_run"
+
+
+def _reads_vcpus(call: ast.Call) -> bool:
+    return any(isinstance(a, ast.Constant) and a.value == "REPRO_VCPUS"
+               for a in call.args)
+
+
+def test_one_cache_key_builder_and_one_vcpus_reader():
+    """Only experiments/cache.py calls ``get_or_run`` (every key comes
+    from ``memoized``), and ``REPRO_VCPUS`` is read only by
+    ``config.default_n_vcpus``."""
+    key_builders, vcpus_readers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if _calling_functions(tree, _is_get_or_run):
+            key_builders.add(rel)
+        vcpus_readers |= {(rel, f) for f in _calling_functions(tree, _reads_vcpus)}
+    assert key_builders == {"repro/experiments/cache.py"}
+    assert vcpus_readers == {("repro/config.py", "default_n_vcpus")}

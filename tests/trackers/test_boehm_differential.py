@@ -188,3 +188,25 @@ def test_reusing_an_unsorted_free_matches_oracle(order):
         heap.free_objects(np.array(order))
     np.testing.assert_array_equal(new.heap.alloc(4, 4096), old.heap.alloc(4, 4096))
     _assert_same(new, old)
+
+
+def test_full_cycle_reads_unmapped_scanned_pages_like_oracle():
+    """A two-page object placed on the free pages ``[2, 1]`` is recorded
+    at pages 2-3, so freeing it releases page 3 under a live small
+    object.  The next full cycle scans that page: like the oracle, it
+    reads it (one minor fault), mapped or not."""
+    new, old = _collector(GcHeap, BoehmGc), _collector(OracleHeap, OracleGc)
+    for gc in (new, old):
+        heap = gc.heap
+        heap.alloc(25, 512)
+        heap.set_refs(np.zeros(12, dtype=np.int64),
+                      np.array([0] * 11 + [24], dtype=np.int64))
+        heap.add_roots(np.arange(8))
+    for op in ("full", "alloc", "full", "full"):
+        if op == "alloc":
+            np.testing.assert_array_equal(new.heap.alloc(16, 5000),
+                                          old.heap.alloc(16, 5000))
+            continue
+        new._did_full = old._did_full = False
+        assert vars(new.collect()) == vars(old.collect())
+        _assert_same(new, old)
