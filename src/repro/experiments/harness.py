@@ -381,7 +381,7 @@ def run_boehm(
     config: str = "small",
     technique: Technique | str = Technique.PROC,
     scale: float = 1.0,
-    gc_params: GcParams | None = None,
+    gc_params: GcParams = GcParams(),
 ) -> BoehmRunResult:
     """Run an application on the GC heap under one technique (§VI-E).
 
@@ -390,13 +390,12 @@ def run_boehm(
     compares tracking techniques, with oracle as the floor).
     """
     technique = Technique(technique)
-    params = gc_params if gc_params is not None else GcParams()
     if technique is Technique.ORACLE:
-        _, result = _boehm_once(app, config, technique, scale, params)
+        _, result = _boehm_once(app, config, technique, scale, gc_params)
         result.ideal_us = result.tracked_us
         return result
     # A memoized call: a technique sweep pays for each baseline once.
-    oracle = run_boehm(app, config, Technique.ORACLE, scale, params)
-    _, result = _boehm_once(app, config, technique, scale, params)
+    oracle = run_boehm(app, config, Technique.ORACLE, scale, gc_params)
+    _, result = _boehm_once(app, config, technique, scale, gc_params)
     result.ideal_us = oracle.tracked_us
     return result

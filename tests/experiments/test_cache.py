@@ -97,7 +97,10 @@ def test_run_criu_memoized_and_baseline_shared():
 
 def test_run_boehm_memoized_with_oracle_baseline():
     a = run_boehm("gcbench", "small", "proc", scale=0.002)
+    before = EXPERIMENT_CACHE.misses
     b = run_boehm("gcbench", "small", "oracle", scale=0.002)
+    # The direct oracle call is the baseline proc already ran: a hit.
+    assert EXPERIMENT_CACHE.misses == before
     # proc's ideal baseline IS the oracle run's tracked time.
     assert a.ideal_us == b.tracked_us == b.ideal_us
     c = run_boehm("gcbench", "small", "proc", scale=0.002)
